@@ -120,15 +120,18 @@ def validate(config: dict) -> list[str]:
             horizon = int(config.get("horizon", _DEFAULT_HORIZON))
             need_number("horizon", lo=2, integer=True)
             need_number("tol", lo=0.0)
-            bruno.sequence_from_spec(_extract_sequence_spec(config), max(horizon, 2))
+            seq = bruno.sequence_from_spec(_extract_sequence_spec(config), max(horizon, 2))
+            if seq.horizon < horizon:
+                problems.append(f"sequence ends before index {horizon} of horizon {horizon}")
         elif command == "tame":
             horizon = int(config.get("horizon", 30))
             need_number("horizon", lo=1, integer=True)
-            for key in ("a", "b"):
+            # is_tame reads a up to index horizon - 1 and b up to index horizon
+            for key, last in (("a", horizon - 1), ("b", horizon)):
                 if key not in config:
                     problems.append(f"tame command needs sequence {key!r}")
-                else:
-                    bruno.sequence_from_spec(config[key], max(horizon, 2))
+                elif bruno.sequence_from_spec(config[key], max(horizon, 2)).horizon < last:
+                    problems.append(f"sequence {key!r} ends before index {last} of horizon {horizon}")
         elif command == "schedule":
             need_number("t", lo=1e-300)
             need_number("steps", lo=1, integer=True)
@@ -282,12 +285,8 @@ def _cmd_morse(cfg: dict) -> tuple[dict, int]:
     )
     result = engines.morse_run(f0, steps)
     payload = report_payload(result.report)
-    payload["functions"] = [
-        [str(c[0]) for c in f.coefficients] for f in result.functions
-    ]
-    payload["generators"] = [
-        [str(c[0]) for c in g.coefficients] for g in result.generators
-    ]
+    payload["functions"] = [[str(c) for c in f.coefficients] for f in result.functions]
+    payload["generators"] = [[str(c) for c in g.coefficients] for g in result.generators]
     return payload, 0
 
 
@@ -411,7 +410,7 @@ def run(config, out_path: Path | None = None, fmt: str = "json", seed: int | Non
         return 1
     try:
         payload, code = _HANDLERS[config["command"]](config)
-    except (PreconditionError, factors.ScheduleError, ValueError) as exc:
+    except (PreconditionError, factors.ScheduleError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = {"schema": SCHEMA, "command": config["command"], "seed": seed, **payload}

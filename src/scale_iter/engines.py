@@ -10,6 +10,7 @@ aborting, since probing those hypotheses is the point of running them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Protocol, Sequence
@@ -35,6 +36,7 @@ from .fourier import (
 from .series import (
     Derivation,
     TruncatedPowerSeries,
+    _common_denominator,
     linearization_action,
     ps_antiderive,
     ps_divide_monomial,
@@ -444,38 +446,33 @@ def _solve_linearization(
     """
     D, mode = x.truncation, x.mode
     x0 = x.coefficients[0]
-    if abs(complex(float(x0[0]), float(x0[1])) if mode == "exact" else x0) < 1e-12:
+    if (x0 == 0) if mode == "exact" else (abs(x0) < 1e-12):
         raise SingularLinearizationError(step)
 
-    zero = TruncatedPowerSeries.zero(D, mode).coefficients[0]
-    xi: list = [zero] * (D + 1)
-    solve_rows = D - drop_top
-    for m in range(0, solve_rows):
-        # (Dxi)_(m+1) = sum_j xi_j x_(m-j) (1/(j+1) + 1/(m-j+1))
-        acc = rhs.coefficients[m + 1]
-        for j in range(0, m):
-            weight = Fraction(1, j + 1) + Fraction(1, m - j + 1)
-            if mode == "exact":
-                xr, xi_ = x.coefficients[m - j]
-                term = (
-                    (xi[j][0] * xr - xi[j][1] * xi_) * weight,
-                    (xi[j][0] * xi_ + xi[j][1] * xr) * weight,
-                )
-                acc = (acc[0] - term[0], acc[1] - term[1])
-            else:
-                acc = acc - xi[j] * x.coefficients[m - j] * (
-                    weight.numerator / weight.denominator
-                )
-        diag = Fraction(m + 2, m + 1)
-        if mode == "exact":
-            xr, xi_ = x.coefficients[0]
-            denom = (xr * xr + xi_ * xi_) * diag
-            xi[m] = (
-                (acc[0] * xr + acc[1] * xi_) / denom,
-                (acc[1] * xr - acc[0] * xi_) / denom,
-            )
-        else:
-            xi[m] = acc / (x.coefficients[0] * (diag.numerator / diag.denominator))
+    xi = list(TruncatedPowerSeries.zero(D, mode).coefficients)
+    if mode == "exact":
+        # The row weight 1/(j+1) + 1/(m-j+1) is (m+2)/((j+1)(m-j+1)), so row
+        # m + 1 sums (m+2) a_j b_(m-j) over the coefficients a of integral(xi)
+        # and b of integral(x); that convolution runs on integer numerators.
+        nb, db = _common_denominator([c / (k + 1) for k, c in enumerate(x.coefficients)])
+        na: list[int] = []
+        da = 1
+        for m in range(D - drop_top):
+            s = Fraction(sum(map(operator.mul, na, nb[m:0:-1])), da * db)
+            xi[m] = (m + 1) * (rhs.coefficients[m + 1] / (m + 2) - s) / x0
+            a = xi[m] / (m + 1)
+            if da % a.denominator:
+                grow = a.denominator // math.gcd(da, a.denominator)
+                na = [n * grow for n in na]
+                da *= grow
+            na.append(a.numerator * (da // a.denominator))
+    else:
+        for m in range(D - drop_top):
+            # (Dxi)_(m+1) = sum_j xi_j x_(m-j) (1/(j+1) + 1/(m-j+1))
+            acc = rhs.coefficients[m + 1]
+            for j in range(m):
+                acc = acc - xi[j] * x.coefficients[m - j] * ((m + 2) / ((j + 1) * (m - j + 1)))
+            xi[m] = acc / (x0 * ((m + 2) / (m + 1)))
     return TruncatedPowerSeries(D, mode, tuple(xi))
 
 
@@ -497,9 +494,7 @@ def _newton_loop(
 ) -> NewtonResult:
     if y.valuation < 1:
         raise PreconditionError("target must vanish at the origin")
-    c0 = x0.coefficients[0]
-    c0_mag = abs(c0) if x0.mode == "float" else math.hypot(float(c0[0]), float(c0[1]))
-    if c0_mag == 0.0:
+    if x0.coefficients[0] == 0:
         raise PreconditionError("initial guess must have a nonzero constant term")
     if not 0 <= defect <= x0.truncation:
         raise PreconditionError("defect must sit in [0, truncation]")

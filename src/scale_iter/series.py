@@ -1,13 +1,14 @@
 """Truncated one-variable power series with exact or float coefficients.
 
 Series live in the quotient ring C[z]/(z^(D+1)) for a fixed truncation D.
-Exact mode stores coefficients as pairs of Fractions (real, imaginary) so
-golden computations are reproducible bit for bit; float mode stores complex
-doubles.  Two disk norms are provided: the L2 norm over the disk of radius
-t, and the coefficient majorant sum |c_k| t^k which dominates the true sup
-on the disk.  The Lie exponential of a derivation g d/dz with valuation(g)
-at least 2 terminates exactly at the truncation, which is what makes the
-normal-form eliminations below golden-testable.
+Exact mode stores real coefficients as Fractions so golden computations are
+reproducible bit for bit; its Cauchy product runs on integer numerators over
+one common denominator.  Float mode stores complex doubles.  Two disk norms
+are provided: the L2 norm over the disk of radius t, and the coefficient
+majorant sum |c_k| t^k which dominates the true sup on the disk.  The Lie
+exponential of a derivation g d/dz with valuation(g) at least 2 terminates
+exactly at the truncation, which is what makes the normal-form eliminations
+below golden-testable.
 """
 
 from __future__ import annotations
@@ -49,59 +50,43 @@ class GeneratorValuationError(ValueError):
     """Lie exponential requested for a generator of valuation <= 1."""
 
 
-ExactCoeff = tuple[Fraction, Fraction]
-Coeff = Union[ExactCoeff, complex]
+Coeff = Union[Fraction, complex]
 
 _F0 = Fraction(0)
-_EXACT_ZERO: ExactCoeff = (_F0, _F0)
 
 
-def _to_exact(value) -> ExactCoeff:
-    if isinstance(value, tuple):
-        return (Fraction(value[0]), Fraction(value[1]))
+def _to_exact(value) -> Fraction:
+    """Real rational from a number, a complex or a (real, imaginary) pair."""
     if isinstance(value, complex):
-        return (Fraction(value.real), Fraction(value.imag))
-    return (Fraction(value), _F0)
-
-
-def _c_is_zero(c: Coeff, mode: str) -> bool:
-    if mode == "exact":
-        return c[0] == 0 and c[1] == 0
-    return c == 0
-
-
-def _c_add(a: Coeff, b: Coeff, mode: str) -> Coeff:
-    if mode == "exact":
-        return (a[0] + b[0], a[1] + b[1])
-    return a + b
-
-
-def _c_mul(a: Coeff, b: Coeff, mode: str) -> Coeff:
-    if mode == "exact":
-        ar, ai = a
-        br, bi = b
-        if ai == 0 and bi == 0:
-            return (ar * br, _F0)
-        return (ar * br - ai * bi, ar * bi + ai * br)
-    return a * b
+        value = (value.real, value.imag)
+    if isinstance(value, tuple):
+        value, imag = value
+        if Fraction(imag) != 0:
+            raise ValueError(f"exact mode is real-only; imaginary part {imag} is not 0")
+    return Fraction(value)
 
 
 def _c_scale(a: Coeff, q: Fraction, mode: str) -> Coeff:
     if mode == "exact":
-        return (a[0] * q, a[1] * q)
+        return a * q
     return a * (q.numerator / q.denominator)
 
 
-def _c_abs(a: Coeff, mode: str) -> float:
-    if mode == "exact":
-        return math.hypot(float(a[0]), float(a[1]))
-    return abs(a)
+def _common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of exact coefficients over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _c_neg(a: Coeff, mode: str) -> Coeff:
-    if mode == "exact":
-        return (-a[0], -a[1])
-    return -a
+def _cauchy(u: list, v: list, D: int, zero) -> list:
+    """Truncated product of coefficient lists, skipping zero entries."""
+    out = [zero] * (D + 1)
+    for i, a in enumerate(u):
+        if a:
+            for k, b in enumerate(v[: D - i + 1], i):
+                if b:
+                    out[k] += a * b
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,7 +107,7 @@ class TruncatedPowerSeries:
 
     @classmethod
     def zero(cls, truncation: int, mode: str = "exact") -> "TruncatedPowerSeries":
-        z: Coeff = _EXACT_ZERO if mode == "exact" else 0j
+        z: Coeff = _F0 if mode == "exact" else 0j
         return cls(truncation, mode, tuple(z for _ in range(truncation + 1)))
 
     @classmethod
@@ -146,7 +131,7 @@ class TruncatedPowerSeries:
     def valuation(self) -> int:
         """Least degree with a nonzero coefficient; truncation + 1 for zero."""
         for k, c in enumerate(self.coefficients):
-            if not _c_is_zero(c, self.mode):
+            if c:
                 return k
         return self.truncation + 1
 
@@ -156,13 +141,13 @@ class TruncatedPowerSeries:
         return self.coefficients[k]
 
     def real_coefficient(self, k: int) -> Fraction:
-        """Real part of an exact coefficient, as a Fraction."""
+        """An exact coefficient, as a Fraction."""
         if self.mode != "exact":
             raise ModeMismatchError("real_coefficient requires exact mode")
-        return self.coefficients[k][0]
+        return self.coefficients[k]
 
     def is_zero(self) -> bool:
-        return all(_c_is_zero(c, self.mode) for c in self.coefficients)
+        return not any(self.coefficients)
 
     def to_float(self) -> "TruncatedPowerSeries":
         if self.mode == "float":
@@ -170,7 +155,7 @@ class TruncatedPowerSeries:
         return TruncatedPowerSeries(
             self.truncation,
             "float",
-            tuple(complex(float(c[0]), float(c[1])) for c in self.coefficients),
+            tuple(complex(float(c)) for c in self.coefficients),
         )
 
     def retruncate(self, truncation: int) -> "TruncatedPowerSeries":
@@ -197,9 +182,7 @@ class TruncatedPowerSeries:
         return ps_add(self, other.__neg__())
 
     def __neg__(self):
-        return TruncatedPowerSeries(
-            self.truncation, self.mode, tuple(_c_neg(c, self.mode) for c in self.coefficients)
-        )
+        return TruncatedPowerSeries(self.truncation, self.mode, tuple(-c for c in self.coefficients))
 
     def __mul__(self, other):
         return ps_mul(self, other)
@@ -217,24 +200,24 @@ def ps_add(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedPowerSe
     return TruncatedPowerSeries(
         f.truncation,
         f.mode,
-        tuple(_c_add(a, b, f.mode) for a, b in zip(f.coefficients, g.coefficients)),
+        tuple(a + b for a, b in zip(f.coefficients, g.coefficients)),
     )
 
 
 def ps_mul(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """Cauchy product truncated at the common degree cap."""
+    """Cauchy product truncated at the common degree cap.
+
+    Exact operands are multiplied as integer numerators over their common
+    denominators, so each output coefficient is reduced once.
+    """
     _check_compatible(f, g)
     D, mode = f.truncation, f.mode
-    out: list[Coeff] = list(TruncatedPowerSeries.zero(D, mode).coefficients)
-    for i, a in enumerate(f.coefficients):
-        if _c_is_zero(a, mode):
-            continue
-        for j in range(0, D - i + 1):
-            b = g.coefficients[j]
-            if _c_is_zero(b, mode):
-                continue
-            out[i + j] = _c_add(out[i + j], _c_mul(a, b, mode), mode)
-    return TruncatedPowerSeries(D, mode, tuple(out))
+    if mode == "float":
+        return TruncatedPowerSeries(D, mode, tuple(_cauchy(f.coefficients, g.coefficients, D, 0j)))
+    nf, df = _common_denominator(f.coefficients)
+    ng, dg = _common_denominator(g.coefficients)
+    den = df * dg
+    return TruncatedPowerSeries(D, mode, tuple(Fraction(n, den) for n in _cauchy(nf, ng, D, 0)))
 
 
 def ps_scale(f: TruncatedPowerSeries, q) -> TruncatedPowerSeries:
@@ -263,7 +246,7 @@ def ps_antiderive(f: TruncatedPowerSeries) -> tuple[TruncatedPowerSeries, bool]:
     out = list(TruncatedPowerSeries.zero(D, mode).coefficients)
     for k in range(0, D):
         out[k + 1] = _c_scale(f.coefficients[k], Fraction(1, k + 1), mode)
-    dropped = not _c_is_zero(f.coefficients[D], mode)
+    dropped = bool(f.coefficients[D])
     return TruncatedPowerSeries(D, mode, tuple(out)), dropped
 
 
@@ -342,7 +325,7 @@ def ps_norm(f: TruncatedPowerSeries, t: float, mode: str = "sup-bound") -> float
     """
     if t <= 0.0:
         raise ValueError("radius must be positive")
-    mags = [_c_abs(c, f.mode) for c in f.coefficients]
+    mags = [float(abs(c)) for c in f.coefficients]
     if mode == "sup-bound":
         return math.fsum(m * t**k for k, m in enumerate(mags))
     if mode == "l2-disk":
@@ -356,13 +339,9 @@ def ps_norm(f: TruncatedPowerSeries, t: float, mode: str = "sup-bound") -> float
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def series_to_json(f: TruncatedPowerSeries) -> dict:
     if f.mode == "exact":
-        coeffs = [[_frac_str(c[0]), _frac_str(c[1])] for c in f.coefficients]
+        coeffs = [[str(c), "0"] for c in f.coefficients]
     else:
         coeffs = [[c.real, c.imag] for c in f.coefficients]
     return {
@@ -382,7 +361,7 @@ def series_from_json(doc: dict) -> TruncatedPowerSeries:
     if len(raw) != D + 1:
         raise ValueError("coefficient count does not match truncation")
     if mode == "exact":
-        coeffs = tuple((Fraction(re), Fraction(im)) for re, im in raw)
+        coeffs = tuple(_to_exact((re, im)) for re, im in raw)
     elif mode == "float":
         coeffs = tuple(complex(float(re), float(im)) for re, im in raw)
     else:

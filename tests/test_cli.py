@@ -296,3 +296,48 @@ def test_main_writes_out_file(tmp_path):
     assert cli.main(["tame", "--config", str(cfg_path), "--out", str(out), "--seed", "7"]) == 0
     doc = json.loads(out.read_text())
     assert doc["seed"] == 7
+
+
+def test_exact_newton_tiny_constant_term_is_not_singular(tmp_path):
+    # 1e-13 sits below the float singularity threshold but is exactly invertible
+    out = tmp_path / "n.json"
+    cfg = {"command": "newton", "x0": {"0": "1e-13"}, "mode": "exact", "truncation": 16, "steps": 4}
+    cli.run(cfg, out_path=out)
+    report = json.loads(out.read_text())["report"]
+    assert report["verdict"] != "singular"
+    assert "failed_step" not in report["meta"]
+    # x -> x * integral(x) is homogeneous of degree 2, so scaling the target
+    # by x_0^2 keeps the valuation ladder of the x_0 = 1 run
+    cfg["y"] = {"1": "1e-26", "2": "1e-27"}
+    assert cli.run(cfg, out_path=out) == 0
+    doc = json.loads(out.read_text())
+    assert doc["residual_valuations"] == [2, 3, 5, 9, 17]
+
+
+def test_exact_newton_float_overflow_exits_one(capsys):
+    cfg = {"command": "newton", "x0": {"0": "1e-200"}, "mode": "exact", "truncation": 16, "steps": 4}
+    assert cli.run(cfg) == 1
+    assert "too large for a float" in capsys.readouterr().err
+
+
+def test_tame_sequences_shorter_than_horizon_exit_one(capsys):
+    def cfg(len_a, len_b):
+        return {
+            "command": "tame",
+            "a": {"kind": "explicit", "log_terms": [0.5 * n for n in range(len_a)]},
+            "b": {"kind": "explicit", "log_terms": [-1.0 * n for n in range(len_b)]},
+            "horizon": 10,
+        }
+
+    assert cli.run(cfg(3, 3)) == 1
+    assert "ends before index" in capsys.readouterr().err
+    assert cli.validate(cfg(10, 10)) == ["sequence 'b' ends before index 10 of horizon 10"]
+    # a is read up to index horizon - 1, b up to index horizon
+    assert cli.validate(cfg(10, 11)) == []
+    assert cli.run(cfg(10, 11)) in (0, 2)
+
+
+def test_bruno_sequence_shorter_than_horizon_exits_one(capsys):
+    cfg = {"command": "bruno", "sequence": {"kind": "explicit", "log_terms": [0.0, 0.5, 1.0]}, "horizon": 10}
+    assert cli.run(cfg) == 1
+    assert "ends before index 10" in capsys.readouterr().err

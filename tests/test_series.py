@@ -31,7 +31,7 @@ def S(entries, D, mode="exact"):
 
 
 def reals(f):
-    return [str(c[0]) for c in f.coefficients]
+    return [str(c) for c in f.coefficients]
 
 
 def test_mul_difference_of_squares():
