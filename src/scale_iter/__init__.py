@@ -10,7 +10,6 @@ from .bruno import (
     BrunoSequence,
     LogSequence,
     OrbitTrace,
-    TamePair,
     TameVerdict,
     a_pi,
     absorb_check,

@@ -25,7 +25,6 @@ __all__ = [
     "BrunoSequence",
     "LogSequence",
     "OrbitTrace",
-    "TamePair",
     "TameVerdict",
     "AbsorbCheck",
     "APiResult",
@@ -41,9 +40,7 @@ __all__ = [
     "mixed_orbit",
     "delta_search",
     "as_log_sequence",
-    "sequence_to_spec",
     "sequence_from_spec",
-    "trace_csv_rows",
 ]
 
 # Absolute floor below which an orbit counts as converged to zero, and the
@@ -331,16 +328,6 @@ class OrbitTrace:
         return all(self.bound_flags)
 
 
-def trace_csv_rows(trace: OrbitTrace) -> list[list[object]]:
-    """Rows (n, x_n, ratio, flag) with a header, ready for csv.writer."""
-    rows: list[list[object]] = [["n", "x_n", "ratio", "flag"]]
-    for n, v in enumerate(trace.values):
-        ratio = trace.ratios[n - 1] if n >= 1 else ""
-        flag = trace.bound_flags[n] if n < len(trace.bound_flags) else ""
-        rows.append([n, v, ratio, flag])
-    return rows
-
-
 def quadratic_orbit(a: BrunoSequence, u0: float, steps: int) -> OrbitTrace:
     """Iterate u_(n+1) = a_n u_n^2 in log scale and classify the orbit.
 
@@ -406,17 +393,6 @@ def quadratic_orbit(a: BrunoSequence, u0: float, steps: int) -> OrbitTrace:
 # ---------------------------------------------------------------------------
 # Tame pairs and the mixed orbit
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TamePair:
-    """A candidate pair for the mixed recursion: a >= 1, b <= 1 decaying to 0."""
-
-    a: SequenceLike
-    b: SequenceLike
-
-    def check(self, horizon: int) -> "TameVerdict":
-        return is_tame(self.a, self.b, horizon)
 
 
 @dataclass(frozen=True)
@@ -554,6 +530,27 @@ _SPEC_KEYS = {
 }
 
 
+def finite_number(value, name: str) -> int | float:
+    """value, if it is a finite JSON number; bools, strings, NaN and infinities are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PreconditionError(f"{name} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise PreconditionError(f"{name} must be finite")
+    return value
+
+
+def spec_float(spec: dict, key: str, default: float | None = None) -> float:
+    """spec[key], or the default when one is given, as a finite float."""
+    return float(finite_number(spec[key] if default is None else spec.get(key, default), key))
+
+
+def _spec_sign(spec: dict) -> int:
+    sign = spec.get("sign", "+")
+    if isinstance(sign, bool) or sign not in ("+", "-", 1, -1):
+        raise PreconditionError("sequence sign must be '+' or '-'")
+    return -1 if sign in ("-", -1) else 1
+
+
 def sequence_from_spec(spec: dict, horizon: int) -> BrunoSequence:
     """Build a sequence from a JSON spec {kind: ..., params...}."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -565,21 +562,17 @@ def sequence_from_spec(spec: dict, horizon: int) -> BrunoSequence:
     if extra:
         raise PreconditionError(f"unknown keys for {kind!r} sequence: {sorted(extra)}")
     if kind == "constant":
-        return BrunoSequence.constant(float(spec["value"]), horizon)
+        return BrunoSequence.constant(spec_float(spec, "value"), horizon)
     if kind == "geometric":
-        return BrunoSequence.geometric(float(spec["ratio"]), horizon)
+        return BrunoSequence.geometric(spec_float(spec, "ratio"), horizon)
     if kind == "phase-power":
-        sign = {"+": 1, "-": -1, 1: 1, -1: -1}.get(spec.get("sign", "+"))
-        if sign is None:
-            raise PreconditionError("phase-power sign must be '+' or '-'")
         return BrunoSequence.phase_power(
-            float(spec.get("scale", 1.0)), float(spec["exponent"]), sign, horizon
+            spec_float(spec, "scale", 1.0), spec_float(spec, "exponent"), _spec_sign(spec), horizon
         )
     if "phases" in spec:
-        sign = {"+": 1, "-": -1, 1: 1, -1: -1}.get(spec.get("sign", "+"))
-        return BrunoSequence.from_phases(sign, [float(u) for u in spec["phases"]])
+        return BrunoSequence.from_phases(_spec_sign(spec), [float(finite_number(u, "phases")) for u in spec["phases"]])
     if "log_terms" in spec:
-        logs = [float(v) for v in spec["log_terms"]]
+        logs = [float(finite_number(v, "log_terms")) for v in spec["log_terms"]]
         if all(l >= 0.0 for l in logs):
             sign = 1
         elif all(l <= 0.0 for l in logs):
@@ -587,12 +580,4 @@ def sequence_from_spec(spec: dict, horizon: int) -> BrunoSequence:
         else:
             raise PreconditionError("explicit log terms must not cross 0")
         return BrunoSequence(sign, tuple(math.ldexp(abs(l), -n) for n, l in enumerate(logs)))
-    return BrunoSequence.from_terms([float(v) for v in spec["terms"]])
-
-
-def sequence_to_spec(seq: BrunoSequence) -> dict:
-    return {
-        "kind": "explicit",
-        "sign": "+" if seq.sign > 0 else "-",
-        "phases": list(seq.phases),
-    }
+    return BrunoSequence.from_terms([float(finite_number(v, "terms")) for v in spec["terms"]])

@@ -1,11 +1,13 @@
-"""Command-line front end: validate experiment configs, dispatch, emit reports.
+"""Command-line front end: parse experiment configs, dispatch, emit reports.
 
 Usage: scale-iter <command> --config <file> [--out <path>] [--format json|csv]
-[--seed N].  Configs are strict JSON objects; unknown keys are rejected and
-all numeric parameters are validated against the target operation's
-preconditions before anything runs.  Exit status: 0 on verdict success, 2 on
-verdict failure (non-tame pair, divergence, missing bound index), 1 on
-config or I/O errors.
+[--seed N].  Configs are strict JSON objects.  Each command parses its config
+once into the sequences, factors and series its engine consumes; unknown keys,
+wrong types, non-finite numbers, values out of range or above the resource
+ceilings, and explicit sequences that end before the last index the engine
+reads are config errors, found before anything runs.  Exit status: 0 on
+verdict success, 2 on verdict failure (non-tame pair, divergence, missing
+bound index), 1 on config or I/O errors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -23,7 +24,7 @@ from typing import Callable
 from . import bruno, engines, factors, series
 from .bruno import PreconditionError
 
-__all__ = ["ExperimentConfig", "main", "run", "run_batch", "validate", "emit_table"]
+__all__ = ["main", "run", "run_batch", "validate", "emit_table"]
 
 SCHEMA = "scale-iter.report.v1"
 
@@ -53,319 +54,287 @@ _COMMAND_KEYS: dict[str, set[str]] = {
 
 _DEFAULT_HORIZON = 48
 
+# Resource ceilings, so that no config asks for an unbounded allocation.
+MAX_HORIZON = 1024  # horizon or steps of bruno, tame, schedule, circle, newton and drive
+MAX_TRUNCATION = 1024
+MAX_MORSE_STEPS = 9  # keeps the default truncation 2^steps + 2 at most 514
+MAX_CAP = 16384
+MAX_ORDER = 64
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated run description: command, parameters, output, seed."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    output: Path | None = None
-    fmt: str = "json"
-    seed: int | None = None
-
-    @classmethod
-    def parse(cls, raw: dict, output: Path | None = None, fmt: str = "json",
-              seed: int | None = None) -> "ExperimentConfig":
-        if not isinstance(raw, dict) or "command" not in raw:
-            raise PreconditionError("config must be an object with a 'command' key")
-        params = {k: v for k, v in raw.items() if k != "command"}
-        if seed is None and "seed" in params:
-            seed = params["seed"]
-        return cls(raw["command"], params, output, fmt, seed)
-
-    def as_dict(self) -> dict:
-        return {"command": self.command, **self.parameters}
+Command = Callable[[], tuple[dict, int]]
 
 
-def _extract_sequence_spec(cfg: dict) -> dict:
+class ConfigError(Exception):
+    """A config that does not parse into an engine call."""
+
+
+def _number(cfg: dict, key: str, default, lo=None, hi=None, integer: bool = False):
+    """cfg[key], or the default, as a finite int or float in [lo, hi]."""
+    value = bruno.finite_number(cfg.get(key, default), key)
+    if integer and int(value) != value:
+        raise ConfigError(f"{key} must be an integer")
+    value = int(value) if integer else float(value)
+    if lo is not None and value < lo:
+        raise ConfigError(f"{key} must be >= {lo}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{key} must be <= {hi}")
+    return value
+
+
+def _reach(seq: bruno.BrunoSequence, name: str, last: int, horizon: int) -> bruno.BrunoSequence:
+    """seq, if its terms reach index last, the last one the engine reads."""
+    if seq.horizon < last:
+        raise ConfigError(f"sequence {name!r} ends before index {last} of horizon {horizon}")
+    return seq
+
+
+def _coefficients(entries, key: str, mode: str) -> dict:
+    """Degree: coefficient entries; exact values are rationals, float values finite."""
+    if not isinstance(entries, dict):
+        raise ConfigError(f"{key} must be an object of degree: coefficient entries")
+    parsed = {}
+    for deg, value in entries.items():
+        if isinstance(value, bool):
+            raise ConfigError(f"{key} coefficient at degree {deg} must be a number or a string")
+        if mode == "exact":
+            parsed[int(deg)] = Fraction(value)
+            continue
+        parsed[int(deg)] = complex(bruno.finite_number(float(value), f"{key} coefficient at degree {deg}"))
+    return parsed
+
+
+# ---------------------------------------------------------------------------
+# Per-command parses: each returns the engine call, which gives (payload, exit code)
+# ---------------------------------------------------------------------------
+
+
+def _parse_bruno(cfg: dict) -> Command:
+    horizon = _number(cfg, "horizon", _DEFAULT_HORIZON, lo=2, hi=MAX_HORIZON, integer=True)
+    tol = _number(cfg, "tol", 1e-12, lo=0.0)
     if "sequence" in cfg:
-        return cfg["sequence"]
-    inline = {k: cfg[k] for k in _SEQUENCE_SHORTHAND_KEYS if k in cfg}
-    if "kind" not in inline:
-        raise PreconditionError("bruno command needs a 'sequence' object or inline 'kind'")
-    return inline
+        spec = cfg["sequence"]
+    else:
+        spec = {k: cfg[k] for k in _SEQUENCE_SHORTHAND_KEYS if k in cfg}
+        if "kind" not in spec:
+            raise ConfigError("bruno command needs a 'sequence' object or inline 'kind'")
+    seq = _reach(bruno.sequence_from_spec(spec, horizon), "sequence", horizon, horizon)
+
+    def command() -> tuple[dict, int]:
+        limit = bruno.a_pi(seq, tol)
+        summable = seq.is_bruno(horizon)
+        payload = {
+            "a_pi": limit.limit,
+            "log_a_pi": limit.log_limit,
+            "converged": limit.converged,
+            "is_bruno": summable,
+            "log_transform": [bruno.log_bruno_transform(seq, n) for n in range(horizon + 1)],
+        }
+        return payload, 0 if (limit.converged and summable) else 2
+
+    return command
 
 
-def validate(config: dict) -> list[str]:
-    """Diagnostics list; empty exactly when run() would not fail a precondition."""
-    problems: list[str] = []
-    if not isinstance(config, dict):
-        return ["config must be a JSON object"]
-    command = config.get("command")
-    if command not in _COMMAND_KEYS:
-        return [f"unknown command {command!r}; expected one of {sorted(_COMMAND_KEYS)}"]
-    extra = set(config) - _COMMAND_KEYS[command]
-    if extra:
-        problems.append(f"unknown keys for {command}: {sorted(extra)}")
+def _parse_tame(cfg: dict) -> Command:
+    horizon = _number(cfg, "horizon", 30, lo=1, hi=MAX_HORIZON, integer=True)
+    pair = []
+    # is_tame reads a up to index horizon - 1 and b up to index horizon
+    for key, last in (("a", horizon - 1), ("b", horizon)):
+        if key not in cfg:
+            raise ConfigError(f"tame command needs sequence {key!r}")
+        pair.append(_reach(bruno.sequence_from_spec(cfg[key], horizon + 1), key, last, horizon))
 
-    def need_number(key: str, lo: float | None = None, hi: float | None = None, integer: bool = False):
-        if key not in config:
-            return None
-        v = config[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            problems.append(f"{key} must be a number")
-            return None
-        if integer and int(v) != v:
-            problems.append(f"{key} must be an integer")
-            return None
-        if lo is not None and v < lo:
-            problems.append(f"{key} must be >= {lo}")
-        if hi is not None and v > hi:
-            problems.append(f"{key} must be <= {hi}")
-        return v
+    def command() -> tuple[dict, int]:
+        verdict = bruno.is_tame(*pair, horizon)
+        payload = {
+            "tame": verdict.tame,
+            "N": verdict.N,
+            "flags": list(verdict.flags),
+            "violations": [{"n": n, "message": m} for n, m in verdict.violations],
+        }
+        return payload, 0 if verdict.tame else 2
 
-    try:
-        if command == "bruno":
-            horizon = int(config.get("horizon", _DEFAULT_HORIZON))
-            need_number("horizon", lo=2, integer=True)
-            need_number("tol", lo=0.0)
-            seq = bruno.sequence_from_spec(_extract_sequence_spec(config), max(horizon, 2))
-            if seq.horizon < horizon:
-                problems.append(f"sequence ends before index {horizon} of horizon {horizon}")
-        elif command == "tame":
-            horizon = int(config.get("horizon", 30))
-            need_number("horizon", lo=1, integer=True)
-            # is_tame reads a up to index horizon - 1 and b up to index horizon
-            for key, last in (("a", horizon - 1), ("b", horizon)):
-                if key not in config:
-                    problems.append(f"tame command needs sequence {key!r}")
-                elif bruno.sequence_from_spec(config[key], max(horizon, 2)).horizon < last:
-                    problems.append(f"sequence {key!r} ends before index {last} of horizon {horizon}")
-        elif command == "schedule":
-            need_number("t", lo=1e-300)
-            need_number("steps", lo=1, integer=True)
-            need_number("exponent_shift", lo=0, hi=1, integer=True)
-            if "rho" not in config:
-                problems.append("schedule command needs a 'rho' sequence")
-            else:
-                steps = int(config.get("steps", 10))
-                rho = bruno.sequence_from_spec(config["rho"], max(steps, 2))
-                for n in range(steps):
-                    if rho.log_term(n) >= -math.log(2.0) * (1.0 - 1e-12):
-                        problems.append(
-                            f"rho term at {n} is >= 1/2; the schedule hypothesis requires rho < 1/2"
-                        )
-                        break
-        elif command == "morse":
-            steps = need_number("steps", lo=0, integer=True)
-            trunc = need_number("truncation", lo=2, integer=True)
-            if steps is not None and trunc is not None and trunc < 2 ** int(steps) + 2:
-                problems.append(
-                    f"truncation {int(trunc)} too small for {int(steps)} steps; need >= {2 ** int(steps) + 2}"
-                )
-        elif command == "circle":
-            eps = need_number("eps", lo=0.0)
-            if eps is not None and eps >= 1.0:
-                problems.append("eps must be < 1")
-            steps = need_number("steps", lo=1, integer=True)
-            cap = need_number("cap", lo=2, integer=True)
-            need_number("order", lo=1, integer=True)
-            if steps is not None and cap is not None and cap < 2 ** (int(steps) + 1):
-                problems.append(f"cap {int(cap)} too small; need >= 2^(steps+1) = {2 ** (int(steps) + 1)}")
-        elif command == "newton":
-            need_number("steps", lo=1, integer=True)
-            need_number("truncation", lo=2, integer=True)
-            need_number("defect", lo=0, integer=True)
-            need_number("norm_radius", lo=1e-12)
-            mode = config.get("mode", "exact")
-            if mode not in ("exact", "float"):
-                problems.append("mode must be 'exact' or 'float'")
-            else:
-                for key in ("y", "x0"):
-                    entries = config.get(key)
-                    if entries is None:
-                        continue
-                    if not isinstance(entries, dict):
-                        problems.append(f"{key} must be an object of degree: coefficient entries")
-                        continue
-                    for deg, value in entries.items():
-                        if int(deg) < 0:
-                            problems.append(f"{key} has a negative degree {deg}")
-                        if mode == "exact":
-                            Fraction(value)
-                        else:
-                            complex(float(value))
-                    if key == "y" and any(int(k) < 1 for k in entries):
-                        problems.append("y must vanish at the origin (no degree-0 term)")
-        elif command == "drive":
-            if config.get("kind") not in ("contraction", "kam"):
-                problems.append("drive kind must be 'contraction' or 'kam'")
-            need_number("t", lo=1e-300)
-            need_number("steps", lo=1, integer=True)
-            need_number("x0", lo=0.0)
-            need_number("eps", lo=1e-9)
-            need_number("c_phase_exponent", lo=1.0)
-            if "factor" in config:
-                factors.factor_from_spec(config["factor"], 4)
-            if "b" in config:
-                bruno.sequence_from_spec(config["b"], 4)
-    except (PreconditionError, ValueError, KeyError, TypeError) as exc:
-        problems.append(str(exc))
-    return problems
+    return command
 
 
-# ---------------------------------------------------------------------------
-# Command handlers: each returns (payload dict, exit code)
-# ---------------------------------------------------------------------------
+def _parse_schedule(cfg: dict) -> Command:
+    t = _number(cfg, "t", 1.0, lo=1e-300)
+    steps = _number(cfg, "steps", 10, lo=1, hi=MAX_HORIZON, integer=True)
+    shift = _number(cfg, "exponent_shift", 1, lo=0, hi=1, integer=True)
+    if "rho" not in cfg:
+        raise ConfigError("schedule command needs a 'rho' sequence")
+    # materialized well past the requested steps so the limit radius is tight;
+    # schedule_build reads rho below index steps
+    rho = _reach(bruno.sequence_from_spec(cfg["rho"], max(steps, _DEFAULT_HORIZON)), "rho", steps - 1, steps)
+    for n in range(steps):
+        if rho.log_term(n) >= -math.log(2.0) * (1.0 - 1e-12):
+            raise ConfigError(f"rho term at {n} is >= 1/2; the schedule hypothesis requires rho < 1/2")
+    factor = factors.factor_from_spec(cfg["factor"], max(steps, 2)) if "factor" in cfg else None
 
-
-def _cmd_bruno(cfg: dict) -> tuple[dict, int]:
-    horizon = int(cfg.get("horizon", _DEFAULT_HORIZON))
-    seq = bruno.sequence_from_spec(_extract_sequence_spec(cfg), horizon)
-    tol = float(cfg.get("tol", 1e-12))
-    limit = bruno.a_pi(seq, tol)
-    summable = seq.is_bruno(horizon)
-    transform = [bruno.log_bruno_transform(seq, n) for n in range(horizon + 1)]
-    payload = {
-        "a_pi": limit.limit,
-        "log_a_pi": limit.log_limit,
-        "converged": limit.converged,
-        "is_bruno": summable,
-        "log_transform": transform,
-    }
-    return payload, 0 if (limit.converged and summable) else 2
-
-
-def _cmd_tame(cfg: dict) -> tuple[dict, int]:
-    horizon = int(cfg.get("horizon", 30))
-    a = bruno.sequence_from_spec(cfg["a"], horizon + 1)
-    b = bruno.sequence_from_spec(cfg["b"], horizon + 1)
-    verdict = bruno.is_tame(a, b, horizon)
-    payload = {
-        "tame": verdict.tame,
-        "N": verdict.N,
-        "flags": list(verdict.flags),
-        "violations": [{"n": n, "message": m} for n, m in verdict.violations],
-    }
-    return payload, 0 if verdict.tame else 2
-
-
-def _cmd_schedule(cfg: dict) -> tuple[dict, int]:
-    steps = int(cfg.get("steps", 10))
-    t = float(cfg.get("t", 1.0))
-    shift = int(cfg.get("exponent_shift", 1))
-    # materialize well past the requested steps so the limit radius is tight
-    rho = bruno.sequence_from_spec(cfg["rho"], max(steps, _DEFAULT_HORIZON))
-    sched = factors.schedule_build(t, rho, steps, shift)
-    payload = {
-        "t": t,
-        "radii": list(sched.radii),
-        "log_radii": list(sched.log_radii),
-        "s_inf": sched.s_inf,
-        "exponent_shift": shift,
-    }
-    if "factor" in cfg:
-        f = factors.factor_from_spec(cfg["factor"], max(steps, 2))
-        if isinstance(f, factors.LocalFactor):
-            check = factors.geometric_bound_check(f, sched)
+    def command() -> tuple[dict, int]:
+        sched = factors.schedule_build(t, rho, steps, shift)
+        payload = {
+            "t": t,
+            "radii": list(sched.radii),
+            "log_radii": list(sched.log_radii),
+            "s_inf": sched.s_inf,
+            "exponent_shift": shift,
+        }
+        if isinstance(factor, factors.LocalFactor):
+            check = factors.geometric_bound_check(factor, sched)
             payload["bound_flags"] = list(check.flags)
             payload["log_bounds"] = list(check.log_bounds)
             payload["log_values"] = list(check.log_values)
             return payload, 0 if check.all_ok() else 2
-    return payload, 0
+        return payload, 0
+
+    return command
 
 
-def _series_from_config(entries: dict, truncation: int, mode: str) -> series.TruncatedPowerSeries:
-    parsed = {}
-    for key, value in entries.items():
-        deg = int(key)
-        parsed[deg] = Fraction(value) if mode == "exact" else complex(float(value))
-    return series.TruncatedPowerSeries.from_dict(parsed, truncation, mode)
+def _parse_morse(cfg: dict) -> Command:
+    steps = _number(cfg, "steps", 2, lo=0, hi=MAX_MORSE_STEPS, integer=True)
+    truncation = _number(cfg, "truncation", max(2**steps + 2, 8), lo=2, hi=MAX_TRUNCATION, integer=True)
+    if truncation < 2**steps + 2:
+        raise ConfigError(f"truncation {truncation} too small for {steps} steps; need >= {2**steps + 2}")
+    remainder = _coefficients(cfg.get("remainder", {"3": "1"}), "remainder", "exact")
+    f0 = series.TruncatedPowerSeries.from_dict({2: Fraction(1, 2), **remainder}, truncation, "exact")
+
+    def command() -> tuple[dict, int]:
+        result = engines.morse_run(f0, steps)
+        payload = report_payload(result.report)
+        payload["functions"] = [[str(c) for c in f.coefficients] for f in result.functions]
+        payload["generators"] = [[str(c) for c in g.coefficients] for g in result.generators]
+        return payload, 0
+
+    return command
 
 
-def _cmd_morse(cfg: dict) -> tuple[dict, int]:
-    steps = int(cfg.get("steps", 2))
-    truncation = int(cfg.get("truncation", max(2**steps + 2, 8)))
-    remainder_entries = cfg.get("remainder", {"3": "1"})
-    f0 = series.TruncatedPowerSeries.from_dict(
-        {2: Fraction(1, 2), **{int(k): Fraction(v) for k, v in remainder_entries.items()}},
-        truncation,
-        "exact",
-    )
-    result = engines.morse_run(f0, steps)
-    payload = report_payload(result.report)
-    payload["functions"] = [[str(c) for c in f.coefficients] for f in result.functions]
-    payload["generators"] = [[str(c) for c in g.coefficients] for g in result.generators]
-    return payload, 0
+def _parse_circle(cfg: dict) -> Command:
+    eps = _number(cfg, "eps", 0.1, lo=0.0)
+    if eps >= 1.0:
+        raise ConfigError("eps must be < 1")
+    steps = _number(cfg, "steps", 2, lo=1, hi=MAX_HORIZON, integer=True)
+    cap = _number(cfg, "cap", 16, lo=2, hi=MAX_CAP, integer=True)
+    order = _number(cfg, "order", 2, lo=1, hi=MAX_ORDER, integer=True)
+    strip_width = _number(cfg, "strip_width", 0.5)
+    if cap < 2 ** (steps + 1):
+        raise ConfigError(f"cap {cap} too small; need >= 2^(steps+1) = {2 ** (steps + 1)}")
+
+    def command() -> tuple[dict, int]:
+        result = engines.circle_run(eps, steps, cap, order, strip_width)
+        return report_payload(result.report), 0 if result.report.verdict != "diverged" else 2
+
+    return command
 
 
-def _cmd_circle(cfg: dict) -> tuple[dict, int]:
-    result = engines.circle_run(
-        float(cfg.get("eps", 0.1)),
-        int(cfg.get("steps", 2)),
-        int(cfg.get("cap", 16)),
-        int(cfg.get("order", 2)),
-        float(cfg.get("strip_width", 0.5)),
-    )
-    payload = report_payload(result.report)
-    return payload, 0 if result.report.verdict != "diverged" else 2
-
-
-def _cmd_newton(cfg: dict) -> tuple[dict, int]:
-    truncation = int(cfg.get("truncation", 32))
+def _parse_newton(cfg: dict) -> Command:
+    steps = _number(cfg, "steps", 6, lo=1, hi=MAX_HORIZON, integer=True)
+    truncation = _number(cfg, "truncation", 32, lo=2, hi=MAX_TRUNCATION, integer=True)
+    defect = _number(cfg, "defect", 0, lo=0, integer=True)
+    radius = _number(cfg, "norm_radius", 0.5, lo=1e-12)
     mode = cfg.get("mode", "exact")
-    y = _series_from_config(cfg.get("y", {"1": "1"}), truncation, mode)
-    x0 = _series_from_config(cfg.get("x0", {"0": "1"}), truncation, mode)
-    steps = int(cfg.get("steps", 6))
-    defect = int(cfg.get("defect", 0))
-    radius = float(cfg.get("norm_radius", 0.5))
-    if defect:
-        result = engines.quasi_newton_run(y, x0, steps, defect, radius)
-    else:
-        result = engines.newton_invert(y, x0, steps, radius)
-    payload = report_payload(result.report)
-    payload["residual_valuations"] = list(result.residual_valuations)
-    ok = result.report.verdict == "converged"
-    return payload, 0 if ok else 2
+    if mode not in ("exact", "float"):
+        raise ConfigError("mode must be 'exact' or 'float'")
+    y = _coefficients(cfg.get("y", {"1": "1"}), "y", mode)
+    if any(deg < 1 for deg in y):
+        raise ConfigError("y must vanish at the origin (no degree-0 term)")
+    y = series.TruncatedPowerSeries.from_dict(y, truncation, mode)
+    x0 = series.TruncatedPowerSeries.from_dict(_coefficients(cfg.get("x0", {"0": "1"}), "x0", mode), truncation, mode)
+
+    def command() -> tuple[dict, int]:
+        if defect:
+            result = engines.quasi_newton_run(y, x0, steps, defect, radius)
+        else:
+            result = engines.newton_invert(y, x0, steps, radius)
+        payload = report_payload(result.report)
+        payload["residual_valuations"] = list(result.residual_valuations)
+        return payload, 0 if result.report.verdict == "converged" else 2
+
+    return command
 
 
-def _cmd_drive(cfg: dict) -> tuple[dict, int]:
-    steps = int(cfg.get("steps", 20))
-    t = float(cfg.get("t", 1.0))
-    x0 = engines.ScalarElement(float(cfg.get("x0", 0.25)))
-    kind = cfg["kind"]
+def _parse_drive(cfg: dict) -> Command:
+    steps = _number(cfg, "steps", 20, lo=1, hi=MAX_HORIZON, integer=True)
+    t = _number(cfg, "t", 1.0, lo=1e-300)
+    x0 = engines.ScalarElement(_number(cfg, "x0", 0.25, lo=0.0))
+    eps = _number(cfg, "eps", 0.5, lo=1e-9)
+    c_phase_exponent = _number(cfg, "c_phase_exponent", 1.9, lo=1.0)
+    shift = _number(cfg, "exponent_shift", 1, integer=True)
+    # b is parsed under both kinds; only the contraction reads it
+    b = bruno.sequence_from_spec(cfg.get("b", {"kind": "constant", "value": 0.5}), steps + 1)
+    kind = cfg.get("kind")
     if kind == "contraction":
         f = factors.factor_from_spec(cfg.get("factor", {"type": "perturbative"}), steps + 1)
         if not isinstance(f, factors.PerturbativeFactor):
-            raise PreconditionError("contraction drive needs a perturbative factor")
-        b = bruno.sequence_from_spec(cfg.get("b", {"kind": "constant", "value": 0.5}), steps + 1)
-        result = engines.contraction_run(
-            engines.scalar_contraction_family(f.gain),
-            f,
-            b,
-            t,
-            x0,
-            steps,
-            int(cfg.get("exponent_shift", 1)),
-        )
-    else:
+            raise ConfigError("contraction drive needs a perturbative factor")
+        # the schedule reads rho, derived from b, through index steps, and
+        # rho_for_perturbative reads the gain at every index of b
+        _reach(b, "b", steps, steps)
+        _reach(f.gain, "factor.a", b.horizon, steps)
+
+        def command() -> tuple[dict, int]:
+            family = engines.scalar_contraction_family(f.gain)
+            return _drive_payload(engines.contraction_run(family, f, b, t, x0, steps, shift))
+
+    elif kind == "kam":
         f = factors.factor_from_spec(cfg.get("factor", {"type": "kam"}), steps + 2)
         if not isinstance(f, factors.KamFactor):
-            raise PreconditionError("kam drive needs a kam factor")
-        result = engines.kam_run(
-            engines.scalar_kam_family(f),
-            f,
-            float(cfg.get("eps", 0.5)),
-            float(cfg.get("c_phase_exponent", 1.9)),
-            t,
-            x0,
-            steps,
-            int(cfg.get("exponent_shift", 1)),
-        )
-    payload = report_payload(result.report)
-    return payload, 0 if result.report.verdict == "converged" else 2
+            raise ConfigError("kam drive needs a kam factor")
+        # the tameness check reads both gains through index steps
+        _reach(f.quad_gain, "factor.a", steps, steps)
+        _reach(f.lin_gain, "factor.b", steps, steps)
+
+        def command() -> tuple[dict, int]:
+            family = engines.scalar_kam_family(f)
+            return _drive_payload(engines.kam_run(family, f, eps, c_phase_exponent, t, x0, steps, shift))
+
+    else:
+        raise ConfigError("drive kind must be 'contraction' or 'kam'")
+    return command
 
 
-_HANDLERS: dict[str, Callable[[dict], tuple[dict, int]]] = {
-    "bruno": _cmd_bruno,
-    "tame": _cmd_tame,
-    "schedule": _cmd_schedule,
-    "morse": _cmd_morse,
-    "circle": _cmd_circle,
-    "newton": _cmd_newton,
-    "drive": _cmd_drive,
+def _drive_payload(result: engines.DriveResult) -> tuple[dict, int]:
+    return report_payload(result.report), 0 if result.report.verdict == "converged" else 2
+
+
+_PARSERS: dict[str, Callable[[dict], Command]] = {
+    "bruno": _parse_bruno,
+    "tame": _parse_tame,
+    "schedule": _parse_schedule,
+    "morse": _parse_morse,
+    "circle": _parse_circle,
+    "newton": _parse_newton,
+    "drive": _parse_drive,
 }
+
+
+def _parse(config) -> tuple[Command, int | None]:
+    """The engine call a config asks for, and its seed; ConfigError when it does not parse."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    command = config.get("command")
+    if not isinstance(command, str) or command not in _PARSERS:
+        raise ConfigError(f"unknown command {command!r}; expected one of {sorted(_PARSERS)}")
+    extra = set(config) - _COMMAND_KEYS[command]
+    if extra:
+        raise ConfigError(f"unknown keys for {command}: {sorted(extra, key=str)}")
+    try:
+        seed = _number(config, "seed", 0, integer=True) if "seed" in config else None
+        return _PARSERS[command](config), seed
+    except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def validate(config) -> list[str]:
+    """Config errors decidable without running an engine.
+
+    Empty exactly when the config parses into an engine call; run() can then
+    still exit 1 on a precondition that only the computation decides.
+    """
+    try:
+        _parse(config)
+    except ConfigError as exc:
+        return [str(exc)]
+    return []
 
 
 def report_payload(report: engines.IterationReport) -> dict:
@@ -397,22 +366,21 @@ def emit_table(payload: dict, fmt: str, out_path: Path | None) -> str:
 
 
 def run(config, out_path: Path | None = None, fmt: str = "json", seed: int | None = None) -> int:
-    """Validate, dispatch, write the report, and map verdicts to exit codes."""
-    if isinstance(config, ExperimentConfig):
-        out_path = out_path or config.output
-        fmt = config.fmt if fmt == "json" else fmt
-        seed = seed if seed is not None else config.seed
-        config = config.as_dict()
-    problems = validate(config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    """Parse, run the engine, write the report, and map verdicts to exit codes.
+
+    The seed recorded in the report is the argument, or else the config's own.
+    """
+    try:
+        command, config_seed = _parse(config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        payload, code = _HANDLERS[config["command"]](config)
+        payload, code = command()
     except (PreconditionError, factors.ScheduleError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    seed = config_seed if seed is None else seed
     payload = {"schema": SCHEMA, "command": config["command"], "seed": seed, **payload}
     try:
         text = emit_table(payload, fmt, out_path)

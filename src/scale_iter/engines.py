@@ -165,16 +165,6 @@ class IterationReport:
     verdict: str
     meta: dict = field(default_factory=dict)
 
-    def step_norms(self) -> list[float]:
-        return [r.step_norm for r in self.steps]
-
-    def cauchy_partial_sums(self) -> list[float]:
-        acc, out = 0.0, []
-        for r in self.steps:
-            acc += r.step_norm
-            out.append(acc)
-        return out
-
 
 def _verdict_from_steps(norms: Sequence[float], tol: float = CAUCHY_TOL) -> str:
     if any(math.isnan(x) or math.isinf(x) for x in norms):
@@ -636,6 +626,54 @@ class DriveResult:
     log_n: tuple[float, ...] = ()
 
 
+def _drive(
+    step_maps: StepMap,
+    sched: RadiusSchedule,
+    x0: ScaledElement,
+    steps: int,
+    monitor: Callable[[int, float | None], tuple[float | None, float, dict]],
+    engine: str,
+    meta: dict,
+) -> tuple[IterationReport, tuple[ScaledElement, ...]]:
+    """Iterate x_(n+1) = f_n(s_(n+1), s_n, x_n) along the schedule.
+
+    monitor(n, previous step norm) gives the bound on step n (None at the
+    first step), the threshold the step must stay below over the upper half
+    of the horizon, and the extras to record.  Violations are recorded, not
+    fatal.
+    """
+    x = x0
+    prev_step: float | None = None
+    records: list[StepRecord] = []
+    iterates = [x0]
+    for n in range(steps):
+        s_in, s_out = sched.radius(n + 1), sched.radius(n)
+        try:
+            x_next = step_maps(n, s_in, s_out, x)
+        except Exception as exc:  # noqa: BLE001
+            raise StepMapError(n, exc) from exc
+        step_norm = x_next.sub(x).norm_at(s_in)
+        bound, threshold, extras = monitor(n, prev_step)
+        extras["eventual_ok"] = step_norm < threshold if n >= steps // 2 else True
+        records.append(
+            StepRecord(
+                n=n,
+                s=s_in,
+                step_norm=step_norm,
+                residual=x_next.norm_at(s_in),
+                bound=bound,
+                bound_ok=True if bound is None else step_norm <= bound * (1.0 + 1e-9),
+                extras=extras,
+            )
+        )
+        prev_step = step_norm
+        x = x_next
+        iterates.append(x)
+
+    verdict = _verdict_from_steps([r.step_norm for r in records])
+    return IterationReport(engine, tuple(records), verdict, meta), tuple(iterates)
+
+
 def contraction_run(
     step_maps: StepMap,
     lam: PerturbativeFactor,
@@ -656,44 +694,13 @@ def contraction_run(
     rho = rho_for_perturbative(lam, b)
     sched = schedule_build(t, rho, steps + 1, exponent_shift)
 
-    x = x0
-    prev_step: float | None = None
-    records: list[StepRecord] = []
-    iterates = [x0]
-    for n in range(steps):
-        s_in, s_out = sched.radius(n + 1), sched.radius(n)
-        try:
-            x_next = step_maps(n, s_in, s_out, x)
-        except Exception as exc:  # noqa: BLE001
-            raise StepMapError(n, exc) from exc
-        step_norm = x_next.sub(x).norm_at(s_in)
+    def monitor(n: int, prev_step: float | None) -> tuple[float | None, float, dict]:
         b_n = math.exp(b.log_term(n)) if b.log_term(n) > -700 else 0.0
-        bound = b_n * prev_step if prev_step is not None else None
-        bound_ok = True if bound is None else step_norm <= bound * (1.0 + 1e-9)
-        eventual_ok = step_norm < b_n if n >= steps // 2 else True
-        records.append(
-            StepRecord(
-                n=n,
-                s=s_in,
-                step_norm=step_norm,
-                residual=x_next.norm_at(s_in),
-                bound=bound,
-                bound_ok=bound_ok,
-                extras={"eventual_ok": eventual_ok, "b_n": b_n},
-            )
-        )
-        prev_step = step_norm
-        x = x_next
-        iterates.append(x)
+        return (None if prev_step is None else b_n * prev_step), b_n, {"b_n": b_n}
 
-    verdict = _verdict_from_steps([r.step_norm for r in records])
-    report = IterationReport(
-        "contraction",
-        tuple(records),
-        verdict,
-        {"t": t, "steps": steps, "exponent_shift": exponent_shift},
-    )
-    return DriveResult(report, sched, tuple(iterates))
+    meta = {"t": t, "steps": steps, "exponent_shift": exponent_shift}
+    report, iterates = _drive(step_maps, sched, x0, steps, monitor, "contraction", meta)
+    return DriveResult(report, sched, iterates)
 
 
 def kam_run(
@@ -715,49 +722,18 @@ def kam_run(
     check = kam_schedule_tame_check(K, eps, t, c_phase_exponent, steps, exponent_shift)
     if not check.tame:
         raise TamenessError("evaluated factor pair is not tame over the horizon")
-    sched = check.schedule
 
-    x = x0
-    prev_step: float | None = None
-    records: list[StepRecord] = []
-    iterates = [x0]
-    for n in range(steps):
-        s_in, s_out = sched.radius(n + 1), sched.radius(n)
-        try:
-            x_next = step_maps(n, s_in, s_out, x)
-        except Exception as exc:  # noqa: BLE001
-            raise StepMapError(n, exc) from exc
-        step_norm = x_next.sub(x).norm_at(s_in)
+    def monitor(n: int, prev_step: float | None) -> tuple[float | None, float, dict]:
         m_n = math.exp(check.log_m[n]) if check.log_m[n] < 700 else math.inf
-        nn = math.exp(check.log_n[n]) if check.log_n[n] > -700 else 0.0
-        bound = m_n * prev_step**2 + nn * prev_step if prev_step is not None else None
-        bound_ok = True if bound is None else step_norm <= bound * (1.0 + 1e-9)
+        nn = _exp(check.log_n[n]) if check.log_n[n] > -700 else 0.0
+        bound = None if prev_step is None else _term(m_n, _square(prev_step)) + _term(nn, prev_step)
         log_c = -math.ldexp(1.0, n) / float(max(n, 1)) ** c_phase_exponent
         c_n = math.exp(log_c) if log_c > -700 else 0.0
-        eventual_ok = step_norm < c_n if n >= steps // 2 else True
-        records.append(
-            StepRecord(
-                n=n,
-                s=s_in,
-                step_norm=step_norm,
-                residual=x_next.norm_at(s_in),
-                bound=bound,
-                bound_ok=bound_ok,
-                extras={"eventual_ok": eventual_ok, "c_n": c_n},
-            )
-        )
-        prev_step = step_norm
-        x = x_next
-        iterates.append(x)
+        return bound, c_n, {"c_n": c_n}
 
-    verdict = _verdict_from_steps([r.step_norm for r in records])
-    report = IterationReport(
-        "kam",
-        tuple(records),
-        verdict,
-        {"t": t, "eps": eps, "c_phase_exponent": c_phase_exponent, "steps": steps},
-    )
-    return DriveResult(report, sched, tuple(iterates), check.log_m, check.log_n)
+    meta = {"t": t, "eps": eps, "c_phase_exponent": c_phase_exponent, "steps": steps}
+    report, iterates = _drive(step_maps, check.schedule, x0, steps, monitor, "kam", meta)
+    return DriveResult(report, check.schedule, iterates, check.log_m, check.log_n)
 
 
 # ---------------------------------------------------------------------------
@@ -765,11 +741,37 @@ def kam_run(
 # ---------------------------------------------------------------------------
 
 
+def _exp(x: float) -> float:
+    """math.exp, saturating to inf past the float range instead of raising."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _square(x: float) -> float:
+    """x**2, saturating to inf past the float range instead of raising."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _term(gain: float, x: float) -> float:
+    """gain * x, where a zero x gives a zero term even against a gain of inf."""
+    return gain * x if x else 0.0
+
+
 def scalar_contraction_family(a: BrunoSequence) -> StepMap:
-    """Step map x' = a_n x^2, the scalar twin of the quadratic orbit."""
+    """Step map x' = a_n x^2, the scalar twin of the quadratic orbit.
+
+    Past the float range the iterate saturates to inf, so a diverging orbit
+    ends in a "diverged" verdict rather than an overflow.
+    """
 
     def step(n: int, s: float, t: float, x: ScaledElement) -> ScalarElement:
-        return ScalarElement(math.exp(a.log_term(n)) * x.value**2)  # type: ignore[attr-defined]
+        v = x.value  # type: ignore[attr-defined]
+        return ScalarElement(_term(_exp(a.log_term(n)), _square(v)))
 
     return step
 
@@ -778,13 +780,14 @@ def scalar_kam_family(K: KamFactor) -> StepMap:
     """Step map x' = (M_n(s,t) x^2 + N_n(s,t) x) / 2.
 
     The half mirrors the mixed-orbit recursion, so a run with this family is
-    arithmetically comparable to the scalar orbit on the evaluated pair.
+    arithmetically comparable to the scalar orbit on the evaluated pair.  It
+    saturates to inf like the contraction family.
     """
 
     def step(n: int, s: float, t: float, x: ScaledElement) -> ScalarElement:
         log_m, log_n = K.log_eval(n, s, t)
-        m = math.exp(log_m)
-        nn = math.exp(log_n) if log_n > -700 else 0.0
-        return ScalarElement(0.5 * (m * x.value**2 + nn * x.value))  # type: ignore[attr-defined]
+        v = x.value  # type: ignore[attr-defined]
+        nn = _exp(log_n) if log_n > -700 else 0.0
+        return ScalarElement(0.5 * (_term(_exp(log_m), _square(v)) + _term(nn, v)))
 
     return step

@@ -49,9 +49,7 @@ __all__ = [
     "perturbative_majorant_check",
     "perturbative_radius_search",
     "kam_schedule_tame_check",
-    "factor_to_spec",
     "factor_from_spec",
-    "schedule_csv_rows",
 ]
 
 _LOG2 = math.log(2.0)
@@ -240,23 +238,6 @@ def schedule_build(
     for n in range(steps):
         logs.append(logs[-1] - math.ldexp(rho.phase(n), -exponent_shift))
     return RadiusSchedule(t, rho, exponent_shift, tuple(logs))
-
-
-def schedule_csv_rows(sched: RadiusSchedule, factor: FactorLike | None = None) -> list[list[object]]:
-    """Rows (n, s_n, log_s_n, log_factor, flag); the flag column carries the
-    geometric bound verdict when a local factor is supplied."""
-    bound_flags: tuple[bool, ...] = ()
-    if isinstance(factor, LocalFactor):
-        bound_flags = geometric_bound_check(factor, sched).flags
-    rows: list[list[object]] = [["n", "s_n", "log_s_n", "log_factor", "flag"]]
-    for n, l in enumerate(sched.log_radii):
-        if factor is not None and n + 1 < len(sched.log_radii):
-            val = factor_eval(factor, n, math.exp(sched.log_radii[n + 1]), math.exp(l))
-        else:
-            val = ""
-        flag = bound_flags[n] if n < len(bound_flags) else ""
-        rows.append([n, math.exp(l), l, val, flag])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -502,56 +483,28 @@ def kam_schedule_tame_check(
 # ---------------------------------------------------------------------------
 
 
-def factor_to_spec(f: FactorLike) -> dict:
-    from .bruno import sequence_to_spec
-
-    if isinstance(f, LocalFactor):
-        return {"type": "local", "C": f.scale, "alpha": f.inner_exponent, "beta": f.gap_exponent}
-    if isinstance(f, PerturbativeFactor):
-        return {
-            "type": "perturbative",
-            "alpha": f.inner_exponent,
-            "beta": f.gap_exponent,
-            "a": sequence_to_spec(f.gain),
-        }
-    return {
-        "type": "kam",
-        "k": f.quad_gap_exponent,
-        "q": f.quad_inner_exponent,
-        "l": f.lin_gap_exponent,
-        "m": f.lin_inner_exponent,
-        "a": sequence_to_spec(f.quad_gain),
-        "b": sequence_to_spec(f.lin_gain),
-    }
-
-
 def factor_from_spec(spec: dict, horizon: int) -> FactorLike:
-    from .bruno import sequence_from_spec
+    from .bruno import sequence_from_spec, spec_float
 
+    if not isinstance(spec, dict):
+        raise PreconditionError("factor spec must be an object with a 'type' key")
     kind = spec.get("type")
     if kind == "local":
         allowed = {"type", "C", "alpha", "beta"}
         if set(spec) - allowed:
             raise PreconditionError(f"unknown keys in local factor spec: {sorted(set(spec) - allowed)}")
-        return LocalFactor(float(spec.get("C", 1.0)), float(spec.get("alpha", 0.0)), float(spec.get("beta", 0.0)))
+        return LocalFactor(spec_float(spec, "C", 1.0), spec_float(spec, "alpha", 0.0), spec_float(spec, "beta", 0.0))
     if kind == "perturbative":
         allowed = {"type", "alpha", "beta", "a"}
         if set(spec) - allowed:
             raise PreconditionError(f"unknown keys in perturbative factor spec: {sorted(set(spec) - allowed)}")
         gain = sequence_from_spec(spec.get("a", {"kind": "constant", "value": 1.0}), horizon)
-        return PerturbativeFactor(gain, float(spec.get("alpha", 0.0)), float(spec.get("beta", 0.0)))
+        return PerturbativeFactor(gain, spec_float(spec, "alpha", 0.0), spec_float(spec, "beta", 0.0))
     if kind == "kam":
         allowed = {"type", "k", "q", "l", "m", "a", "b"}
         if set(spec) - allowed:
             raise PreconditionError(f"unknown keys in kam factor spec: {sorted(set(spec) - allowed)}")
         a = sequence_from_spec(spec.get("a", {"kind": "constant", "value": 1.0}), horizon)
         b = sequence_from_spec(spec.get("b", {"kind": "constant", "value": 1.0}), horizon)
-        return KamFactor(
-            a,
-            b,
-            float(spec.get("k", 0.0)),
-            float(spec.get("q", 0.0)),
-            float(spec.get("l", 0.0)),
-            float(spec.get("m", 0.0)),
-        )
+        return KamFactor(a, b, *(spec_float(spec, key, 0.0) for key in "kqlm"))
     raise PreconditionError(f"unknown factor type {kind!r}")

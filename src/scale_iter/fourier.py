@@ -31,9 +31,6 @@ __all__ = [
     "strip_l2_log_norm",
     "tail_decay_check",
     "cos_coefficient",
-    "oneform_to_json",
-    "oneform_from_json",
-    "norm_table_rows",
 ]
 
 
@@ -265,34 +262,3 @@ def tail_decay_check(w: FourierOneForm, n: int, s: float, t: float) -> TailDecay
         prev = r
     ratio = math.exp(log_ratio)
     return TailDecayReport(ratio, math.exp(log_bound), log_ratio <= log_bound, monotone)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def oneform_to_json(w: FourierOneForm) -> dict:
-    return {
-        "schema": "oneform.v1",
-        "cap": w.cap,
-        "coefficients": [[float(c.real), float(c.imag)] for c in w.data],
-    }
-
-
-def oneform_from_json(doc: dict) -> FourierOneForm:
-    if doc.get("schema") != "oneform.v1":
-        raise ValueError("not a oneform.v1 document")
-    cap = int(doc["cap"])
-    arr = np.array([complex(re, im) for re, im in doc["coefficients"]], dtype=complex)
-    return FourierOneForm(cap, arr)
-
-
-def norm_table_rows(w: FourierOneForm, t: float) -> list[list[object]]:
-    """CSV rows (k, |c_k|, weight, contribution) for the strip norm at t."""
-    rows: list[list[object]] = [["k", "abs_coeff", "log_weight", "log_contribution"]]
-    for k in range(-w.cap, w.cap + 1):
-        c = abs(w.coefficient(k))
-        lw = _log_weight(k, t)
-        rows.append([k, c, lw, 2.0 * math.log(c) + lw if c > 0.0 else -math.inf])
-    return rows

@@ -19,8 +19,6 @@ from scale_iter.bruno import (
     mixed_orbit,
     quadratic_orbit,
     sequence_from_spec,
-    sequence_to_spec,
-    trace_csv_rows,
 )
 
 H = 48
@@ -216,7 +214,7 @@ def test_delta_search_feasible_and_maximal():
 
 def test_sequence_spec_round_trip():
     seq = BrunoSequence.geometric(0.8, 12)
-    spec = sequence_to_spec(seq)
+    spec = {"kind": "explicit", "sign": "-", "phases": list(seq.phases)}
     back = sequence_from_spec(spec, 12)
     assert back.sign == seq.sign and back.phases == seq.phases
 
@@ -234,22 +232,18 @@ def test_sequence_spec_kinds_and_rejection():
         sequence_from_spec({"kind": "constant", "value": 1.0, "bogus": 3}, 8)
     with pytest.raises(PreconditionError):
         sequence_from_spec({"kind": "nope"}, 8)
-
-
-def test_tame_pair_wrapper():
-    from scale_iter.bruno import TamePair
-
-    pair = TamePair(BrunoSequence.geometric(2.0, 31), BrunoSequence.geometric(0.25, 31))
-    verdict = pair.check(30)
-    assert verdict.tame and verdict.N == 2
-
-
-def test_trace_csv_rows_shape():
-    a = BrunoSequence.constant(2.0, H)
-    tr = quadratic_orbit(a, 0.25, 5)
-    rows = trace_csv_rows(tr)
-    assert rows[0] == ["n", "x_n", "ratio", "flag"]
-    assert len(rows) == len(tr.values) + 1
+    # numbers inside a spec are finite JSON numbers: no bools, strings, NaN or inf
+    for spec in (
+        {"kind": "constant", "value": True},
+        {"kind": "constant", "value": "0.25"},
+        {"kind": "geometric", "ratio": math.nan},
+        {"kind": "phase-power", "exponent": math.inf},
+        {"kind": "phase-power", "exponent": 2.0, "sign": True},
+        {"kind": "explicit", "log_terms": [0.0, math.nan]},
+        {"kind": "explicit", "terms": "124"},
+    ):
+        with pytest.raises(PreconditionError):
+            sequence_from_spec(spec, 2)
 
 
 def test_log_sequence_wrapper():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import random
 
 import pytest
@@ -253,17 +254,6 @@ def test_runs_are_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_experiment_config_parse_and_run(tmp_path):
-    cfg = cli.ExperimentConfig.parse(
-        {"command": "bruno", "kind": "constant", "value": 1.0},
-        output=tmp_path / "b.json",
-        seed=3,
-    )
-    assert cfg.command == "bruno" and cfg.parameters["kind"] == "constant"
-    assert cli.run(cfg) == 0
-    assert json.loads((tmp_path / "b.json").read_text())["seed"] == 3
-
-
 def test_batch_configs_run_independently(tmp_path):
     batch = [
         {"command": "bruno", "kind": "constant", "value": 1.0},
@@ -341,3 +331,286 @@ def test_bruno_sequence_shorter_than_horizon_exits_one(capsys):
     cfg = {"command": "bruno", "sequence": {"kind": "explicit", "log_terms": [0.0, 0.5, 1.0]}, "horizon": 10}
     assert cli.run(cfg) == 1
     assert "ends before index 10" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+# Regression cases: the first ten raised out of cli.run, the rest passed
+# validate and then exited 1 from the engine or ran.
+PARSE_FAILURES = [
+    {"command": "circle", "strip_width": [1]},
+    {"command": "morse", "remainder": [1, 2]},
+    {"command": "morse", "remainder": {"3": None}},
+    {"command": "morse", "remainder": {"3": "1/0"}},
+    {"command": "schedule", "rho": {"kind": "constant", "value": 0.25}, "factor": "x"},
+    {"command": "drive", "kind": "contraction", "exponent_shift": [1]},
+    {"command": "circle", "steps": INF},
+    {"command": "schedule", "rho": {"kind": "explicit", "log_terms": [-2.0, -3.0]}, "steps": 20},
+    {
+        "command": "drive",
+        "kind": "contraction",
+        "factor": {"type": "perturbative", "a": {"kind": "explicit", "log_terms": [0.1, 0.2]}},
+        "steps": 20,
+    },
+    {
+        "command": "drive",
+        "kind": "kam",
+        "factor": {"type": "kam", "a": {"kind": "explicit", "log_terms": [0.1, 0.2]}},
+        "steps": 20,
+    },
+    {"command": "newton", "truncation": 8, "y": {"40": "1"}},
+    {"command": "morse", "steps": 2, "truncation": 10, "remainder": {"40": "1"}},
+    {"command": "schedule", "rho": {"kind": "constant", "value": 0.25}, "factor": {"type": "mystery"}},
+    {"command": "drive", "kind": "contraction", "factor": {"type": "kam"}},
+    {"command": "drive", "kind": "kam", "factor": {"type": "perturbative"}},
+    {"command": "drive", "kind": "contraction", "t": NAN},
+    {"command": "schedule", "t": INF, "rho": {"kind": "constant", "value": 0.25}},
+    {"command": "bruno", "sequence": {"kind": "constant", "value": True}},
+    {"command": "bruno", "sequence": {"kind": "constant", "value": "0.25"}},
+    {"command": "schedule", "rho": {"kind": "constant", "value": 0.25}, "factor": {"type": "local", "alpha": NAN}},
+    {"command": "bruno", "sequence": {"kind": "explicit", "terms": "123"}, "horizon": 2},
+    {"command": "bruno", "sequence": {"kind": "phase-power", "exponent": 2.0, "sign": True}},
+    {"command": "bruno", "kind": "constant", "value": 0.5, "seed": "x"},
+]
+
+
+@pytest.mark.parametrize("cfg", PARSE_FAILURES, ids=range(len(PARSE_FAILURES)))
+def test_unparseable_configs_are_config_errors(cfg, capsys):
+    assert cli.validate(cfg)
+    assert cli.run(cfg) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_short_sequences_rejected_at_the_last_index_each_engine_reads():
+    def schedule(n_rho, steps):
+        rho = {"kind": "explicit", "log_terms": [-2.0 - n for n in range(n_rho)]}
+        return {"command": "schedule", "rho": rho, "steps": steps}
+
+    # schedule_build reads rho below index steps, though rho is materialized at 48
+    assert cli.validate(schedule(20, 20)) == []
+    assert cli.validate(schedule(19, 20)) == ["sequence 'rho' ends before index 19 of horizon 20"]
+
+    def contraction(n_a, n_b, steps=20):
+        return {
+            "command": "drive",
+            "kind": "contraction",
+            "factor": {"type": "perturbative", "a": {"kind": "explicit", "log_terms": [0.1] * n_a}},
+            "b": {"kind": "explicit", "log_terms": [-1.0] * n_b},
+            "steps": steps,
+        }
+
+    # the schedule reads rho (derived from b) through index steps, and rho
+    # reads the gain at every index of b
+    assert cli.validate(contraction(21, 21)) == []
+    assert cli.validate(contraction(21, 20)) == ["sequence 'b' ends before index 20 of horizon 20"]
+    assert cli.validate(contraction(30, 30)) == []
+    assert cli.validate(contraction(29, 30)) == ["sequence 'factor.a' ends before index 29 of horizon 20"]
+    assert cli.run(contraction(30, 30)) in (0, 2)
+
+    kam = {"command": "drive", "kind": "kam", "steps": 20}
+    assert cli.validate({**kam, "factor": {"type": "kam", "b": {"kind": "explicit", "log_terms": [0.0] * 21}}}) == []
+    assert cli.validate({**kam, "factor": {"type": "kam", "b": {"kind": "explicit", "log_terms": [0.0] * 20}}}) == [
+        "sequence 'factor.b' ends before index 20 of horizon 20"
+    ]
+
+
+def test_ceilings_reject_one_past_each_limit():
+    over = {
+        "bruno": ({"command": "bruno", "kind": "constant", "value": 0.5}, "horizon", cli.MAX_HORIZON),
+        "tame": (
+            {"command": "tame", "a": {"kind": "geometric", "ratio": 2.0}, "b": {"kind": "geometric", "ratio": 0.25}},
+            "horizon",
+            cli.MAX_HORIZON,
+        ),
+        "schedule": ({"command": "schedule", "rho": {"kind": "constant", "value": 0.25}}, "steps", cli.MAX_HORIZON),
+        "circle steps": ({"command": "circle", "cap": cli.MAX_CAP}, "steps", cli.MAX_HORIZON),
+        "circle cap": ({"command": "circle"}, "cap", cli.MAX_CAP),
+        "circle order": ({"command": "circle"}, "order", cli.MAX_ORDER),
+        "newton steps": ({"command": "newton"}, "steps", cli.MAX_HORIZON),
+        "newton truncation": ({"command": "newton"}, "truncation", cli.MAX_TRUNCATION),
+        "morse steps": ({"command": "morse"}, "steps", cli.MAX_MORSE_STEPS),
+        "morse truncation": ({"command": "morse"}, "truncation", cli.MAX_TRUNCATION),
+        "drive": ({"command": "drive", "kind": "contraction"}, "steps", cli.MAX_HORIZON),
+    }
+    for name, (base, key, ceiling) in over.items():
+        assert cli.validate({**base, key: ceiling + 1}) == [f"{key} must be <= {ceiling}"], name
+    # a circle cap must hold 2^(steps+1), so circle steps stay far below the ceiling
+    for name, (base, key, ceiling) in over.items():
+        if name != "circle steps":
+            assert cli.validate({**base, key: ceiling}) == [], name
+
+
+def test_numbers_reject_bools_and_non_finite_values():
+    base = {"command": "circle", "eps": 0.1, "steps": 2, "cap": 16}
+    for value in (True, NAN, INF, -INF, "0.5", None):
+        assert cli.validate({**base, "strip_width": value}), value
+    assert cli.validate({**base, "steps": 2.0, "cap": 16.0}) == []
+    assert cli.validate({**base, "steps": 2.5}) == ["steps must be an integer"]
+    assert cli.validate({"command": "newton", "mode": "float", "y": {"1": "1e400"}})
+    assert cli.validate({"command": "morse", "remainder": {"3": NAN}})
+
+
+def test_diverging_contraction_drive_exits_two(tmp_path):
+    # x_n squared leaves the float range at step 11; the iterate saturates to inf
+    cfg = {
+        "command": "drive",
+        "kind": "contraction",
+        "factor": {"type": "perturbative", "a": {"kind": "constant", "value": 1.5}},
+        "x0": 0.9,
+        "steps": 40,
+    }
+    out = tmp_path / "drive.json"
+    assert cli.run(cfg, out_path=out) == 2
+    assert json.loads(out.read_text())["report"]["verdict"] == "diverged"
+
+
+def test_kam_drive_zero_orbit_under_saturated_gain(tmp_path):
+    # log M_n passes 709 at step 31; the orbit from 0 stays 0 with no nan bound
+    cfg = {
+        "command": "drive",
+        "kind": "kam",
+        "factor": {"type": "kam", "a": {"kind": "geometric", "ratio": 1e10}},
+        "x0": 0.0,
+        "steps": 40,
+    }
+    out = tmp_path / "kam0.json"
+    assert cli.run(cfg, out_path=out) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["verdict"] == "converged"
+    assert all(step["flag"] for step in report["steps"])
+
+
+def test_kam_drive_divergence_agrees_with_mixed_orbit(tmp_path):
+    from scale_iter import bruno, engines, factors
+
+    cfg = {
+        "command": "drive",
+        "kind": "kam",
+        "factor": {"type": "kam", "a": {"kind": "geometric", "ratio": 10}},
+        "x0": 0.1,
+        "steps": 40,
+    }
+    out = tmp_path / "kam.json"
+    assert cli.run(cfg, out_path=out) == 2
+    assert json.loads(out.read_text())["report"]["verdict"] == "diverged"
+
+    K = factors.factor_from_spec(cfg["factor"], 42)
+    res = engines.kam_run(engines.scalar_kam_family(K), K, 0.5, 1.9, 1.0, engines.ScalarElement(0.1), 40)
+    orbit = bruno.mixed_orbit(
+        bruno.LogSequence(res.log_m[:41]), bruno.LogSequence(res.log_n[:41]), 0.1, 40, require_tame=False
+    )
+    assert res.report.verdict == orbit.verdict == "diverged"
+    finite = [it.value for it in res.iterates if math.isfinite(it.value)]
+    assert len(finite) >= orbit.failed_at
+    for value, expected in zip(finite, orbit.values):
+        assert value == pytest.approx(expected, rel=1e-9)
+
+
+SWEEP_BASES = [
+    {"command": "bruno", "sequence": {"kind": "geometric", "ratio": 0.5}, "horizon": 12, "tol": 1e-12},
+    {
+        "command": "tame",
+        "a": {"kind": "geometric", "ratio": 2.0},
+        "b": {"kind": "explicit", "log_terms": [-1.0 * n for n in range(13)]},
+        "horizon": 12,
+    },
+    {
+        "command": "schedule",
+        "t": 1.0,
+        "steps": 8,
+        "exponent_shift": 1,
+        "rho": {"kind": "constant", "value": 0.25},
+        "factor": {"type": "local", "C": 1.0, "alpha": 1.0, "beta": 1.0},
+    },
+    {"command": "morse", "steps": 2, "truncation": 10, "remainder": {"3": "1", "4": "-1/2"}},
+    {"command": "circle", "eps": 0.1, "steps": 2, "cap": 16, "order": 2, "strip_width": 0.5},
+    {"command": "newton", "y": {"1": "1", "2": "1/10"}, "x0": {"0": "1"}, "steps": 3, "truncation": 8},
+    {"command": "newton", "y": {"1": 1.0, "2": 0.1}, "mode": "float", "steps": 3, "truncation": 8, "defect": 1},
+    {
+        "command": "drive",
+        "kind": "contraction",
+        "factor": {"type": "perturbative", "a": {"kind": "constant", "value": 1.2}},
+        "b": {"kind": "constant", "value": 0.5},
+        "t": 1.0,
+        "x0": 0.5,
+        "steps": 12,
+        "exponent_shift": 1,
+    },
+    {
+        "command": "drive",
+        "kind": "kam",
+        "factor": {"type": "kam", "a": {"kind": "constant", "value": 1.0}, "b": {"kind": "constant", "value": 1.0}},
+        "t": 4.0,
+        "x0": 0.25,
+        "steps": 12,
+        "eps": 0.5,
+        "c_phase_exponent": 1.9,
+    },
+]
+
+SWEEP_JUNK = ["x", [1], {"k": 1}, None, True, NAN, INF, -INF, -1, 0, 0.5, 2.5, 1e308, 10**30, "1/0", {}]
+
+
+def _mutate(cfg, rng):
+    """One random malformation somewhere in a copy of cfg."""
+    slots = []  # (container, key) of every value in the config
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            if not (node is cfg and key == "command"):
+                slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(cfg)
+    container, key = rng.choice(slots)
+    how = rng.choice(("junk", "junk", "short", "unknown-key"))
+    if how == "junk":
+        container[key] = rng.choice(SWEEP_JUNK)
+    elif how == "short":
+        sign = rng.choice((-1.0, 1.0))
+        container[key] = {"kind": "explicit", "log_terms": [sign * n for n in range(rng.randint(0, 14))]}
+    else:
+        dicts = [c for c, _ in slots if isinstance(c, dict)]
+        rng.choice(dicts)[f"zz{rng.randint(0, 9)}"] = 1
+    return cfg
+
+
+def _holds_bad_number(node) -> bool:
+    """A bool or a non-finite float anywhere in node; no config key accepts either."""
+    if isinstance(node, dict):
+        return any(_holds_bad_number(v) for v in node.values())
+    if isinstance(node, list):
+        return any(_holds_bad_number(v) for v in node)
+    return isinstance(node, bool) or (isinstance(node, float) and not math.isfinite(node))
+
+
+def test_seeded_sweep_of_malformed_configs_never_raises(capsys):
+    rng = random.Random(4)
+    for _ in range(400):
+        cfg = json.loads(json.dumps(rng.choice(SWEEP_BASES)))
+        for _ in range(rng.randint(1, 2)):
+            cfg = _mutate(cfg, rng)
+        code = cli.run(cfg)
+        assert code in (0, 1, 2), cfg
+        if cli.validate(cfg) or _holds_bad_number(cfg):
+            assert code == 1, cfg
+        capsys.readouterr()
+
+
+def test_config_seed_is_recorded_unless_overridden(capsys):
+    cfg = {"command": "bruno", "kind": "constant", "value": 0.5, "horizon": 8, "seed": 3}
+    assert cli.run(dict(cfg)) == 2
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+    assert cli.run(dict(cfg), seed=5) == 2
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
+def test_every_name_in_all_resolves():
+    # bench/spans.py wraps each module's __all__ with getattr
+    import importlib
+
+    for name in ("bruno", "factors", "series", "fourier", "engines", "cli"):
+        module = importlib.import_module(f"scale_iter.{name}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name

@@ -12,7 +12,6 @@ from scale_iter.factors import (
     ScheduleError,
     factor_eval,
     factor_from_spec,
-    factor_to_spec,
     geometric_bound_check,
     kam_schedule_tame_check,
     perturbative_bound_check,
@@ -20,7 +19,6 @@ from scale_iter.factors import (
     perturbative_radius_search,
     rho_for_perturbative,
     schedule_build,
-    schedule_csv_rows,
 )
 
 
@@ -244,18 +242,13 @@ def test_kam_gain_ratio_tracks_schedule_driver():
 
 def test_factor_spec_round_trip():
     gain = BrunoSequence.constant(2.0, 10)
-    f = PerturbativeFactor(gain, 1.0, 2.0)
-    spec = factor_to_spec(f)
+    spec = {"type": "perturbative", "alpha": 1.0, "beta": 2.0, "a": {"kind": "constant", "value": 2.0}}
     back = factor_from_spec(spec, 10)
     assert isinstance(back, PerturbativeFactor)
     assert back.inner_exponent == 1.0 and back.gap_exponent == 2.0
     assert back.gain.phases == pytest.approx(gain.phases)
     with pytest.raises(PreconditionError):
         factor_from_spec({"type": "local", "C": 1.0, "junk": 2}, 10)
-
-
-def test_schedule_csv_rows_header():
-    rows = schedule_csv_rows(schedule_build(1.0, quarter(), 5), LocalFactor(1.0, 1.0, 0.0))
-    assert rows[0] == ["n", "s_n", "log_s_n", "log_factor", "flag"]
-    assert len(rows) == 7
-    assert all(r[4] is True for r in rows[1:6])
+    for spec in ({"type": "local", "alpha": math.nan}, {"type": "perturbative", "beta": "1"}, {"type": "kam", "k": True}):
+        with pytest.raises(PreconditionError):
+            factor_from_spec(spec, 10)

@@ -14,10 +14,7 @@ from scale_iter.fourier import (
     cos_coefficient,
     lie_derivative_oneform,
     lie_exp_terms,
-    norm_table_rows,
-    oneform_from_json,
     oneform_lie_exp,
-    oneform_to_json,
     solve_homological,
     strip_l2_norm,
     tail_decay_check,
@@ -242,17 +239,3 @@ def test_sinh_ratio_strictly_decreasing_through_64():
 def test_lie_exp_default_order_is_cap():
     w, v = _alpha_and_field(0.1)
     assert np.allclose(oneform_lie_exp(v, w).data, oneform_lie_exp(v, w, CAP).data)
-
-
-def test_oneform_json_round_trip():
-    w = FourierOneForm.from_cos({0: 1.0, 2: -0.25}, 5)
-    doc = oneform_to_json(w)
-    back = oneform_from_json(doc)
-    assert back.cap == 5 and np.allclose(back.data, w.data)
-
-
-def test_norm_table_rows_schema():
-    w = FourierOneForm.from_cos({1: 1.0}, 3)
-    rows = norm_table_rows(w, 0.5)
-    assert rows[0] == ["k", "abs_coeff", "log_weight", "log_contribution"]
-    assert len(rows) == 8
