@@ -110,7 +110,9 @@ def _coefficients(entries, key: str, mode: str) -> dict:
 
 def _parse_bruno(cfg: dict) -> Command:
     horizon = _number(cfg, "horizon", _DEFAULT_HORIZON, lo=2, hi=MAX_HORIZON, integer=True)
-    tol = _number(cfg, "tol", 1e-12, lo=0.0)
+    tol = _number(cfg, "tol", 1e-12)
+    if tol <= 0.0:
+        raise ConfigError("tol must be positive")
     if "sequence" in cfg:
         spec = cfg["sequence"]
     else:
@@ -216,6 +218,8 @@ def _parse_circle(cfg: dict) -> Command:
     cap = _number(cfg, "cap", 16, lo=2, hi=MAX_CAP, integer=True)
     order = _number(cfg, "order", 2, lo=1, hi=MAX_ORDER, integer=True)
     strip_width = _number(cfg, "strip_width", 0.5)
+    if strip_width <= 0.0:
+        raise ConfigError("strip_width must be positive")
     if cap < 2 ** (steps + 1):
         raise ConfigError(f"cap {cap} too small; need >= 2^(steps+1) = {2 ** (steps + 1)}")
 
@@ -229,7 +233,7 @@ def _parse_circle(cfg: dict) -> Command:
 def _parse_newton(cfg: dict) -> Command:
     steps = _number(cfg, "steps", 6, lo=1, hi=MAX_HORIZON, integer=True)
     truncation = _number(cfg, "truncation", 32, lo=2, hi=MAX_TRUNCATION, integer=True)
-    defect = _number(cfg, "defect", 0, lo=0, integer=True)
+    defect = _number(cfg, "defect", 0, lo=0, hi=truncation, integer=True)
     radius = _number(cfg, "norm_radius", 0.5, lo=1e-12)
     mode = cfg.get("mode", "exact")
     if mode not in ("exact", "float"):
@@ -279,6 +283,8 @@ def _parse_drive(cfg: dict) -> Command:
         f = factors.factor_from_spec(cfg.get("factor", {"type": "kam"}), steps + 2)
         if not isinstance(f, factors.KamFactor):
             raise ConfigError("kam drive needs a kam factor")
+        if c_phase_exponent - 1.0 <= eps:
+            raise ConfigError("c_phase_exponent must exceed 1 + eps")
         # the tameness check reads both gains through index steps
         _reach(f.quad_gain, "factor.a", steps, steps)
         _reach(f.lin_gain, "factor.b", steps, steps)

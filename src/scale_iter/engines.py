@@ -339,9 +339,9 @@ def circle_run(
     """Doubling elimination for (1 + eps cos theta) dtheta.
 
     Step n removes harmonics 1..2^n of the current perturbation through the
-    homological solve followed by an order-2 Lie step; suppressed harmonics
-    re-appear with higher-order coefficients, which the report records for
-    |k| <= 4 together with the strip norm of what remains.
+    homological solve followed by a Lie step of order lie_order; suppressed
+    harmonics re-appear with higher-order coefficients, which the report
+    records for |k| <= 4 together with the strip norm of what remains.
     """
     if not 0.0 <= eps < 1.0:
         raise PreconditionError("eps must sit in [0, 1)")
@@ -352,33 +352,21 @@ def circle_run(
     forms = [alpha]
     records: list[StepRecord] = []
     prev_norm: float | None = None
+    harmonic = np.abs(np.arange(-cap, cap + 1))
     for n in range(steps):
-        pert = FourierOneForm.from_coefficients(
-            {k: alpha.coefficient(k) for k in range(-cap, cap + 1) if k != 0},
-            cap,
-        )
         cutoff = 2**n
-        target = FourierOneForm.from_coefficients(
-            {k: pert.coefficient(k) for k in range(-cutoff, cutoff + 1) if k != 0},
-            cap,
-        )
+        target = FourierOneForm(cap, np.where((harmonic != 0) & (harmonic <= cutoff), alpha.data, 0.0))
         mean_drift = abs(alpha.coefficient(0) - 1.0)
         if target.data.any():
             v = solve_homological(target, cutoff)
             terms = lie_exp_terms(v, alpha, lie_order)
-            total = np.zeros(2 * cap + 1, dtype=complex)
-            for term in terms:
-                total = total + term.data
-            alpha_next = FourierOneForm(cap, total)
+            alpha_next = FourierOneForm(cap, sum(term.data for term in terms))
             last_term_norm = strip_l2_norm(terms[-1], strip_width)
         else:
             alpha_next = alpha
             last_term_norm = 0.0
 
-        new_pert = FourierOneForm.from_coefficients(
-            {k: alpha_next.coefficient(k) for k in range(-cap, cap + 1) if k != 0},
-            cap,
-        )
+        new_pert = FourierOneForm(cap, np.where(harmonic != 0, alpha_next.data, 0.0))
         step_norm = strip_l2_norm(
             FourierOneForm(cap, alpha_next.data - alpha.data), strip_width
         )

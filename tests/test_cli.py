@@ -371,6 +371,10 @@ PARSE_FAILURES = [
     {"command": "bruno", "sequence": {"kind": "explicit", "terms": "123"}, "horizon": 2},
     {"command": "bruno", "sequence": {"kind": "phase-power", "exponent": 2.0, "sign": True}},
     {"command": "bruno", "kind": "constant", "value": 0.5, "seed": "x"},
+    {"command": "circle", "strip_width": 0.0},
+    {"command": "bruno", "kind": "constant", "value": 0.5, "tol": 0.0},
+    {"command": "newton", "truncation": 8, "defect": 9},
+    {"command": "drive", "kind": "kam", "eps": 0.999999},
 ]
 
 

@@ -142,6 +142,22 @@ def test_circle_cap_precondition():
         circle_run(0.1, 3, 8)
 
 
+def test_circle_run_does_not_depend_on_an_unused_cap():
+    # at order 3 six steps occupy harmonics |k| <= 3 * (2^6 - 1) = 189, inside both caps
+    small = circle_run(0.2, 6, 512, 3).report
+    large = circle_run(0.2, 6, 4096, 3).report
+    assert small.verdict == large.verdict
+    assert [r.bound_ok for r in small.steps] == [r.bound_ok for r in large.steps]
+    for a, b in zip(small.steps, large.steps):
+        assert a.extras.keys() == b.extras.keys()
+        pairs = [(a.step_norm, b.step_norm), (a.residual, b.residual)]
+        pairs += [(a.extras[k], b.extras[k]) for k in a.extras]
+        if a.bound is not None:
+            pairs.append((a.bound, b.bound))
+        for x, y in pairs:
+            assert x == pytest.approx(y, rel=1e-9, abs=0.0)
+
+
 def test_circle_report_has_harmonic_columns():
     res = circle_run(0.1, 2, 16)
     header = report_csv_rows(res.report)[0]

@@ -1,20 +1,35 @@
-"""Differential checks of the series kernels against their plain-loop forms.
+"""Differential checks of the series and Fourier kernels against their plain-loop forms.
 
 The exact Cauchy product and the exact triangular solve run on integer
 numerators over common denominators; here they are compared with direct
-Fraction loops.  The float kernels keep their summation order, so they are
-compared bit for bit with the loops they replaced.
+Fraction loops.  The float series kernels keep their summation order, so they
+are compared bit for bit with the loops they replaced.  The Fourier product
+convolves only the occupied bands and the strip norm is one array
+expression; both change rounding, so they are compared with the dense
+convolution and the per-harmonic loop within tolerances fixed beforehand,
+and circle_run is compared with a dense copy of itself.
 """
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from scale_iter.engines import (
     SingularLinearizationError,
     _solve_linearization,
+    _verdict_from_steps,
+    circle_run,
     newton_invert,
+)
+from scale_iter.fourier import (
+    FourierOneForm,
+    _convolve_truncate,
+    cos_coefficient,
+    solve_homological,
+    strip_l2_log_norm,
 )
 from scale_iter.series import (
     TruncatedPowerSeries,
@@ -209,3 +224,166 @@ def test_exact_json_rejects_imaginary_parts_and_round_trips():
     doc["coefficients"][1] = ["1", "1/2"]
     with pytest.raises(ValueError, match="real-only"):
         series_from_json(doc)
+
+
+# ---- Fourier kernels: plain references ---------------------------------------
+
+
+def dense_convolve_truncate(a, b, cap):
+    full = np.convolve(a, b)
+    mid = len(full) // 2
+    return full[mid - cap : mid + cap + 1]
+
+
+def loop_log_sinh(x):
+    if x > 30.0:
+        return x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
+    return math.log(math.sinh(x))
+
+
+def loop_strip_l2_log_norm(data, cap, t):
+    logs = []
+    for k in range(-cap, cap + 1):
+        c = abs(complex(data[k + cap]))
+        if c == 0.0:
+            continue
+        weight = math.log(2.0 * t) if k == 0 else loop_log_sinh(2.0 * abs(k) * t) - math.log(abs(k))
+        logs.append(2.0 * math.log(c) + weight)
+    if not logs:
+        return -math.inf
+    hi = max(logs)
+    return 0.5 * (hi + math.log(math.fsum(math.exp(l - hi) for l in logs)))
+
+
+def _band(rng, cap, lo, hi):
+    data = np.zeros(2 * cap + 1, dtype=complex)
+    n = hi - lo + 1
+    data[lo + cap : hi + cap + 1] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return data
+
+
+def _convolution_cases(rng):
+    for cap in (2, 8, 33, 100):
+        yield cap, _band(rng, cap, -cap, cap), _band(rng, cap, -cap, cap)  # dense
+    for _ in range(40):  # sparse bands anywhere, many crossing +-cap in the product
+        cap = int(rng.integers(2, 80))
+        bands = []
+        for _ in range(2):
+            lo = int(rng.integers(-cap, cap + 1))
+            hi = int(rng.integers(lo, min(lo + 12, cap) + 1))
+            bands.append(_band(rng, cap, lo, hi))
+        yield cap, bands[0], bands[1]
+    for cap in (4, 16):
+        yield cap, _band(rng, cap, cap - 2, cap), _band(rng, cap, 1, 3)  # crosses +cap
+        yield cap, _band(rng, cap, -cap, -cap + 1), _band(rng, cap, -3, -1)  # crosses -cap
+        yield cap, _band(rng, cap, cap, cap), _band(rng, cap, 1, 1)  # lands just past +cap
+        yield cap, _band(rng, cap, -cap, cap), np.zeros(2 * cap + 1, dtype=complex)
+        yield cap, np.zeros(2 * cap + 1, dtype=complex), _band(rng, cap, -2, 2)
+        for k, j in ((0, 0), (3, -3), (-cap, cap), (cap // 2, cap // 2), (-1, 2)):
+            yield cap, _band(rng, cap, k, k), _band(rng, cap, j, j)  # single harmonics
+
+
+# ---- Fourier kernels ---------------------------------------------------------
+
+
+def test_band_convolution_matches_dense():
+    rng = np.random.default_rng(11)
+    for cap, a, b in _convolution_cases(rng):
+        got = _convolve_truncate(a, b, cap)
+        want = dense_convolve_truncate(a, b, cap)
+        assert got.shape == want.shape == (2 * cap + 1,)
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, (cap, np.flatnonzero(a), np.flatnonzero(b))
+        # outside the occupied band the product is exactly zero, as the dense one is
+        assert np.array_equal(np.flatnonzero(got), np.flatnonzero(want))
+
+
+def test_vectorised_strip_norm_matches_loop():
+    rng = np.random.default_rng(12)
+    for cap in (1, 7, 64, 300):
+        for density in (1.0, 0.3, 0.05):
+            # magnitudes from 1e-30 to 1e30, random phases
+            mags = 10.0 ** rng.uniform(-30, 30, 2 * cap + 1)
+            data = mags * np.exp(2j * np.pi * rng.random(2 * cap + 1))
+            data[rng.random(2 * cap + 1) >= density] = 0.0
+            # t below, at and above the 2|k|t = 30 switch for harmonics inside the cap
+            for t in (1e-3, 0.05, 15.0 / cap, 0.5, 3.0, 40.0):
+                want = loop_strip_l2_log_norm(data, cap, t)
+                got = strip_l2_log_norm(FourierOneForm(cap, data), t)
+                if want == -math.inf:
+                    assert got == -math.inf
+                else:
+                    assert abs(got - want) <= 4 * math.ulp(want), (cap, density, t)
+    for t in (0.1, 40.0):
+        assert strip_l2_log_norm(FourierOneForm.zero(16), t) == -math.inf
+
+
+# ---- circle_run against its dense form ---------------------------------------
+
+
+def dense_circle_run(eps, steps, cap, lie_order, strip_width=0.5):
+    """circle_run as it was: full-array convolutions and per-harmonic loops."""
+    alpha = FourierOneForm.from_cos({0: 1.0, 1: eps}, cap)
+    records = []
+    prev_norm = None
+    for n in range(steps):
+        pert = {k: alpha.coefficient(k) for k in range(-cap, cap + 1) if k != 0}
+        cutoff = 2**n
+        target = FourierOneForm.from_coefficients({k: pert[k] for k in range(-cutoff, cutoff + 1) if k != 0}, cap)
+        mean_drift = abs(alpha.coefficient(0) - 1.0)
+        if target.data.any():
+            v = solve_homological(target, cutoff)
+            k = np.arange(-cap, cap + 1)
+            terms = [alpha.data]
+            for j in range(1, lie_order + 1):
+                product = dense_convolve_truncate(terms[-1], v.data, cap)
+                terms.append(product * (1j * k) / j)
+            total = np.zeros(2 * cap + 1, dtype=complex)
+            for term in terms:
+                total = total + term
+            alpha_next = FourierOneForm(cap, total)
+            last_term_norm = _loop_strip_norm(terms[-1], cap, strip_width)
+        else:
+            alpha_next = alpha
+            last_term_norm = 0.0
+        new_pert = FourierOneForm.from_coefficients(
+            {k: alpha_next.coefficient(k) for k in range(-cap, cap + 1) if k != 0}, cap
+        )
+        step_norm = _loop_strip_norm(alpha_next.data - alpha.data, cap, strip_width)
+        residual = _loop_strip_norm(new_pert.data, cap, strip_width)
+        extras = {"mean_drift": mean_drift, "last_term_norm": last_term_norm}
+        for k in range(1, 5):
+            extras[f"cos_{k}"] = cos_coefficient(alpha_next, k)
+        records.append((step_norm, residual, prev_norm, prev_norm is None or residual <= prev_norm, extras))
+        prev_norm = residual
+        alpha = alpha_next
+    return _verdict_from_steps([r[0] for r in records]), records
+
+
+def _loop_strip_norm(data, cap, t):
+    log_n = loop_strip_l2_log_norm(data, cap, t)
+    if log_n == -math.inf:
+        return 0.0
+    return math.exp(log_n) if log_n < 709.0 else math.inf
+
+
+def _close(a, b):
+    return a == b or math.isclose(a, b, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("cap,order,steps", [(16, 16, 3), (32, 8, 4)])
+def test_circle_run_matches_dense_form_where_truncation_bites(cap, order, steps):
+    rng = random.Random(cap * 100 + order)
+    for eps in [0.0, 0.95] + [round(rng.uniform(0.0, 0.95), 6) for _ in range(8)]:
+        for n_steps in range(1, steps + 1):
+            verdict, records = dense_circle_run(eps, n_steps, cap, order)
+            report = circle_run(eps, n_steps, cap, order).report
+            assert report.verdict == verdict, (eps, n_steps)
+            assert len(report.steps) == len(records) == n_steps
+            for rec, (step_norm, residual, bound, bound_ok, extras) in zip(report.steps, records):
+                assert rec.bound_ok == bound_ok, (eps, n_steps, rec.n)
+                assert _close(rec.step_norm, step_norm) and _close(rec.residual, residual)
+                assert (rec.bound is None) == (bound is None) and (bound is None or _close(rec.bound, bound))
+                assert rec.extras.keys() == extras.keys()
+                for key, value in extras.items():
+                    assert _close(rec.extras[key], value), (eps, n_steps, rec.n, key)
