@@ -56,6 +56,7 @@ _DEFAULT_HORIZON = 48
 
 # Resource ceilings, so that no config asks for an unbounded allocation.
 MAX_HORIZON = 1024  # horizon or steps of bruno, tame, schedule, circle, newton and drive
+MAX_KAM_STEPS = 1023  # 2^steps must stay a finite float
 MAX_TRUNCATION = 1024
 MAX_MORSE_STEPS = 9  # keeps the default truncation 2^steps + 2 at most 514
 MAX_CAP = 16384
@@ -243,6 +244,8 @@ def _parse_newton(cfg: dict) -> Command:
         raise ConfigError("y must vanish at the origin (no degree-0 term)")
     y = series.TruncatedPowerSeries.from_dict(y, truncation, mode)
     x0 = series.TruncatedPowerSeries.from_dict(_coefficients(cfg.get("x0", {"0": "1"}), "x0", mode), truncation, mode)
+    if x0.coefficients[0] == 0:
+        raise ConfigError("x0 must have a nonzero constant term")
 
     def command() -> tuple[dict, int]:
         if defect:
@@ -270,6 +273,8 @@ def _parse_drive(cfg: dict) -> Command:
         f = factors.factor_from_spec(cfg.get("factor", {"type": "perturbative"}), steps + 1)
         if not isinstance(f, factors.PerturbativeFactor):
             raise ConfigError("contraction drive needs a perturbative factor")
+        if b.sign != -1:
+            raise ConfigError("decay sequence b must be negative-phase")
         # the schedule reads rho, derived from b, through index steps, and
         # rho_for_perturbative reads the gain at every index of b
         _reach(b, "b", steps, steps)
@@ -280,6 +285,9 @@ def _parse_drive(cfg: dict) -> Command:
             return _drive_payload(engines.contraction_run(family, f, b, t, x0, steps, shift))
 
     elif kind == "kam":
+        # the tameness check splits the horizon into halves and reads 2^steps
+        if not 4 <= steps <= MAX_KAM_STEPS:
+            raise ConfigError(f"kam drive steps must sit in [4, {MAX_KAM_STEPS}]")
         f = factors.factor_from_spec(cfg.get("factor", {"type": "kam"}), steps + 2)
         if not isinstance(f, factors.KamFactor):
             raise ConfigError("kam drive needs a kam factor")

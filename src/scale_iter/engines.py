@@ -5,6 +5,9 @@ step norms, residuals and monitored bounds.  The generic drivers
 (contraction_run, kam_run) treat their contraction or mixed bounds as
 assumptions to monitor: violations are flagged in the report rather than
 aborting, since probing those hypotheses is the point of running them.
+Exact Newton runs on the antiderivative X = integral(x): the model map is
+(X^2/2)' and its linearization (X * integral(xi))', so both are integer
+products, and the triangular solve builds one Fraction per row.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .fourier import (
 from .series import (
     Derivation,
     TruncatedPowerSeries,
-    _common_denominator,
+    _integral_numerators,
+    _integral_product_derivative,
     linearization_action,
     ps_antiderive,
     ps_divide_monomial,
@@ -408,7 +412,13 @@ def circle_run(
 
 
 def eps_integral_map(x: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """The model map x -> x * integral(x); lands in series of valuation >= 1."""
+    """The model map x -> x * integral(x); lands in series of valuation >= 1.
+
+    Exact series take it as (integral(x)^2 / 2)', half of the linearization
+    kernel at xi = x.
+    """
+    if x.mode == "exact":
+        return _integral_product_derivative(x, x, 2)
     integral, _ = ps_antiderive(x)
     return ps_mul(x, integral)
 
@@ -429,16 +439,21 @@ def _solve_linearization(
 
     xi = list(TruncatedPowerSeries.zero(D, mode).coefficients)
     if mode == "exact":
-        # The row weight 1/(j+1) + 1/(m-j+1) is (m+2)/((j+1)(m-j+1)), so row
-        # m + 1 sums (m+2) a_j b_(m-j) over the coefficients a of integral(xi)
-        # and b of integral(x); that convolution runs on integer numerators.
-        nb, db = _common_denominator([c / (k + 1) for k, c in enumerate(x.coefficients)])
+        # Row m + 1 of (integral(x) * integral(xi))' = rhs reads
+        # (m+2) (x_0 a_m + S) = rhs_(m+1) for the coefficients a_j = xi_j/(j+1)
+        # of integral(xi).  S sums a_j b_(m-j) over j < m with b the
+        # coefficients of integral(x); it is an integer convolution over da * db,
+        # and a_m is one Fraction built from integers.
+        nb, db = _integral_numerators(x)
+        p0, q0 = x0.numerator, x0.denominator
         na: list[int] = []
         da = 1
         for m in range(D - drop_top):
-            s = Fraction(sum(map(operator.mul, na, nb[m:0:-1])), da * db)
-            xi[m] = (m + 1) * (rhs.coefficients[m + 1] / (m + 2) - s) / x0
-            a = xi[m] / (m + 1)
+            r = rhs.coefficients[m + 1]
+            s = sum(map(operator.mul, na, nb[m:0:-1]))
+            w, dd = (m + 2) * r.denominator, da * db
+            a = Fraction((r.numerator * dd - w * s) * q0, w * dd * p0)
+            xi[m] = (m + 1) * a
             if da % a.denominator:
                 grow = a.denominator // math.gcd(da, a.denominator)
                 na = [n * grow for n in na]
@@ -452,6 +467,14 @@ def _solve_linearization(
                 acc = acc - xi[j] * x.coefficients[m - j] * ((m + 2) / ((j + 1) * (m - j + 1)))
             xi[m] = acc / (x0 * ((m + 2) / (m + 1)))
     return TruncatedPowerSeries(D, mode, tuple(xi))
+
+
+def _defect_ratio(defect_norm: float, r_norm: float) -> float:
+    """defect_norm / r_norm^2, without squaring an r_norm whose square underflows; 0 at r_norm = 0."""
+    if r_norm == 0.0:
+        return 0.0
+    square = r_norm * r_norm
+    return defect_norm / square if square > 0.0 else defect_norm / r_norm / r_norm
 
 
 @dataclass(frozen=True)
@@ -489,7 +512,8 @@ def _newton_loop(
     x = x0
     records: list[StepRecord] = []
     valuations: list[int] = []
-    residual = eps_integral_map(x) - y
+    image0 = eps_integral_map(x0)
+    residual = residual0 = image0 - y
     valuations.append(residual.valuation)
     for n in range(steps):
         if residual.is_zero():
@@ -518,21 +542,20 @@ def _newton_loop(
         r_norm = ps_norm(residual, s_half)
         step_norm = ps_norm(xi, s_in)
         defect_norm = ps_norm(defect_series, s_in)
+        next_norm = ps_norm(residual_next, s_in)
         extras = {
             "residual_valuation": residual_next.valuation,
             "defect_norm": defect_norm,
-            "defect_ratio": (defect_norm / (r_norm * r_norm)) if r_norm > 0.0 else 0.0,
+            "defect_ratio": _defect_ratio(defect_norm, r_norm),
         }
         records.append(
             StepRecord(
                 n=n,
                 s=s_in,
                 step_norm=step_norm,
-                residual=ps_norm(residual_next, s_in),
+                residual=next_norm,
                 bound=r_norm,
-                bound_ok=ps_norm(residual_next, s_in) <= r_norm * (1.0 + 1e-9)
-                if r_norm > 0.0
-                else True,
+                bound_ok=next_norm <= r_norm * (1.0 + 1e-9) if r_norm > 0.0 else True,
                 extras=extras,
             )
         )
@@ -554,8 +577,8 @@ def _newton_loop(
             "norm_radius": norm_radius,
             "defect": defect,
             "final_residual_norm": final_norm,
-            "initial_residual_norm": ps_norm(eps_integral_map(x0) - y, norm_radius),
-            "initial_drift_norm": ps_norm(eps_integral_map(x0) - x0, norm_radius),
+            "initial_residual_norm": ps_norm(residual0, norm_radius),
+            "initial_drift_norm": ps_norm(image0 - x0, norm_radius),
             "defect_ratio_max": max(
                 (r.extras["defect_ratio"] for r in records), default=0.0
             ),

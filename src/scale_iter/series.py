@@ -3,7 +3,9 @@
 Series live in the quotient ring C[z]/(z^(D+1)) for a fixed truncation D.
 Exact mode stores real coefficients as Fractions so golden computations are
 reproducible bit for bit; its Cauchy product runs on integer numerators over
-one common denominator.  Float mode stores complex doubles.  Two disk norms
+one common denominator, and its linearization_action is the product rule
+(integral(eps) * integral(xi))' on the integer numerators of the two
+integrals.  Float mode stores complex doubles.  Two disk norms
 are provided: the L2 norm over the disk of radius t, and the coefficient
 majorant sum |c_k| t^k which dominates the true sup on the disk.  The Lie
 exponential of a derivation g d/dz with valuation(g) at least 2 terminates
@@ -78,6 +80,21 @@ def _common_denominator(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _integral_numerators(f: "TruncatedPowerSeries") -> tuple[list[int], int]:
+    """Integer numerators of integral(f) at degrees 1..D over their least common denominator.
+
+    Degree k carries f_(k-1)/k, reduced by one small gcd instead of a Fraction
+    division; the degree-D coefficient of f would land at D + 1 and is left out.
+    """
+    nums, dens = [], []
+    for k, c in enumerate(f.coefficients[:-1], 1):
+        g = math.gcd(c.numerator, k)
+        nums.append(c.numerator // g)
+        dens.append(c.denominator * (k // g))
+    den = math.lcm(*dens)
+    return [n * (den // d) for n, d in zip(nums, dens)], den
+
+
 def _cauchy(u: list, v: list, D: int, zero) -> list:
     """Truncated product of coefficient lists, skipping zero entries."""
     out = [zero] * (D + 1)
@@ -86,6 +103,21 @@ def _cauchy(u: list, v: list, D: int, zero) -> list:
             for k, b in enumerate(v[: D - i + 1], i):
                 if b:
                     out[k] += a * b
+    return out
+
+
+def _cauchy_square(u: list[int], D: int) -> list[int]:
+    """_cauchy(u, u, D, 0) with each off-diagonal product formed once."""
+    out = [0] * (D + 1)
+    half = u[: D // 2 + 1]
+    for i, a in enumerate(half):
+        if a:
+            for k, b in enumerate(u[i + 1 : D - i + 1], 2 * i + 1):
+                if b:
+                    out[k] += a * b
+    out = [2 * c for c in out]
+    for i, a in enumerate(half):
+        out[2 * i] += a * a
     return out
 
 
@@ -179,7 +211,12 @@ class TruncatedPowerSeries:
         return ps_add(self, other)
 
     def __sub__(self, other):
-        return ps_add(self, other.__neg__())
+        _check_compatible(self, other)
+        return TruncatedPowerSeries(
+            self.truncation,
+            self.mode,
+            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
+        )
 
     def __neg__(self):
         return TruncatedPowerSeries(self.truncation, self.mode, tuple(-c for c in self.coefficients))
@@ -309,11 +346,39 @@ def linearization_action(
 
     Acts as xi -> eps * integral(xi) + xi * integral(eps); at eps = 1 it
     sends z^k to (k+2)/(k+1) z^(k+1), which is triangular on monomials.
+    Exact operands take the product rule (integral(eps) * integral(xi))'.
     """
     _check_compatible(eps, xi)
+    if eps.mode == "exact":
+        return _integral_product_derivative(eps, xi)
     int_xi, _ = ps_antiderive(xi)
     int_eps, _ = ps_antiderive(eps)
     return ps_add(ps_mul(eps, int_xi), ps_mul(xi, int_eps))
+
+
+def _integral_product_derivative(
+    f: TruncatedPowerSeries, g: TruncatedPowerSeries, den: int = 1
+) -> TruncatedPowerSeries:
+    """(integral(f) * integral(g))' / den for exact operands, on integer numerators.
+
+    This is f * integral(g) + g * integral(f), and it is exact in the
+    truncated ring: the degree-D+1 term each integral leaves out meets the
+    other integral, of valuation >= 1, at degree D + 2 or above, whose
+    derivative lies past the truncation.  Entry m of the numerator product
+    sits at degree m + 2 and lands at degree m + 1 with weight m + 2.
+    """
+    D = f.truncation
+    nf, df = _integral_numerators(f)
+    if g is f:
+        den *= df * df
+        product = _cauchy_square(nf, D - 1)
+    else:
+        ng, dg = _integral_numerators(g)
+        den *= df * dg
+        product = _cauchy(nf, ng, D - 1, 0)
+    return TruncatedPowerSeries(
+        D, "exact", (_F0, *(Fraction((m + 2) * n, den) if n else _F0 for m, n in enumerate(product)))
+    )
 
 
 def ps_norm(f: TruncatedPowerSeries, t: float, mode: str = "sup-bound") -> float:
@@ -325,7 +390,10 @@ def ps_norm(f: TruncatedPowerSeries, t: float, mode: str = "sup-bound") -> float
     """
     if t <= 0.0:
         raise ValueError("radius must be positive")
-    mags = [float(abs(c)) for c in f.coefficients]
+    if f.mode == "exact":  # float first: the same value, without an abs Fraction
+        mags = [abs(float(c)) for c in f.coefficients]
+    else:
+        mags = [abs(c) for c in f.coefficients]
     if mode == "sup-bound":
         return math.fsum(m * t**k for k, m in enumerate(mags))
     if mode == "l2-disk":

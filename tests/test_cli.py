@@ -310,6 +310,25 @@ def test_exact_newton_float_overflow_exits_one(capsys):
     assert "too large for a float" in capsys.readouterr().err
 
 
+def test_exact_newton_past_the_float_range_of_the_squared_residual_norm(capsys):
+    # the residual valuation reaches 129, where the squared residual norm
+    # underflows to 0.0 while the norm itself does not
+    cfg = {"command": "newton", "truncation": 130, "steps": 8, "y": {"1": "1", "2": "1/10"}}
+    assert cli.run(cfg) in (0, 2)
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["steps"][-1]["bound"] ** 2 == 0.0 < report["steps"][-1]["bound"]
+    assert all(math.isfinite(r["extras"]["defect_ratio"]) for r in report["steps"])
+
+
+def test_kam_drive_steps_ceiling(capsys):
+    # the tameness check reads 2^steps, a finite float up to steps 1023
+    cfg = {"command": "drive", "kind": "kam", "steps": cli.MAX_KAM_STEPS}
+    assert cli.run(cfg) in (0, 2)
+    capsys.readouterr()
+    assert cli.run({**cfg, "steps": cli.MAX_KAM_STEPS + 1}) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_tame_sequences_shorter_than_horizon_exit_one(capsys):
     def cfg(len_a, len_b):
         return {
@@ -375,6 +394,9 @@ PARSE_FAILURES = [
     {"command": "bruno", "kind": "constant", "value": 0.5, "tol": 0.0},
     {"command": "newton", "truncation": 8, "defect": 9},
     {"command": "drive", "kind": "kam", "eps": 0.999999},
+    {"command": "drive", "kind": "kam", "steps": 3},
+    {"command": "newton", "x0": {"0": "0", "1": "1"}},
+    {"command": "drive", "kind": "contraction", "b": {"kind": "constant", "value": 2.0}},
 ]
 
 

@@ -9,6 +9,7 @@ from scale_iter.bruno import BrunoSequence, LogSequence, PreconditionError, mixe
 from scale_iter.factors import KamFactor, PerturbativeFactor, schedule_build
 from scale_iter.engines import (
     IterationReport,
+    _defect_ratio,
     OneFormElement,
     ScalarElement,
     SeriesElement,
@@ -193,6 +194,49 @@ def test_newton_residual_valuations_exact():
     assert res.report.verdict == "converged"
     # solution actually solves the truncated equation
     assert (eps_integral_map(res.solution) - target_series()).is_zero()
+
+
+def closed_form_newton_target(y, D):
+    """x* = (sqrt(2 integral(y)))' for y = z + ..., from the square-root recurrence.
+
+    2 integral(y) = z^2 g with g_n = 2 y_(n+1) / (n+2) and g_0 = 1, so
+    sqrt(2 integral(y)) = z s with s^2 = g: s_0 = 1 and
+    s_n = (g_n - sum_(0<i<n) s_i s_(n-i)) / 2.  Then x*_k = (k+1) s_k.
+    Newton on x is Heron's iteration for this square root on the
+    antiderivative; nothing here calls the library.
+    """
+    g = [2 * Fraction(y.get(n + 1, 0)) / (n + 2) for n in range(D + 1)]
+    s = [Fraction(1)]
+    for n in range(1, D + 1):
+        s.append((g[n] - sum(s[i] * s[n - i] for i in range(1, n))) / 2)
+    return [(k + 1) * s[k] for k in range(D + 1)]
+
+
+def test_newton_solution_is_the_closed_form_square_root_derivative():
+    D = 40
+    y = {1: Fraction(1), 2: Fraction(1, 10), 3: Fraction(-3, 7), 5: Fraction(2, 3)}
+    want = closed_form_newton_target(y, D)
+    exact = newton_invert(S(y, D), start_series(D), 8)
+    assert exact.report.verdict == "converged"
+    # degree D of x * integral(x) never reads x_D, so the solve leaves it at x0's value
+    assert list(exact.solution.coefficients[:D]) == want[:D]
+    assert exact.solution.coefficients[D] == 0
+    # float run on the same target: each coefficient within 1e-12 relative
+    flt = newton_invert(S(y, D, "float"), start_series(D, "float"), 8)
+    assert flt.report.verdict == "converged"
+    for k in range(D):
+        assert flt.solution.coefficients[k] == pytest.approx(float(want[k]), rel=1e-12, abs=0.0), k
+    assert flt.solution.coefficients[D] == 0
+
+
+def test_defect_ratio_survives_an_underflowing_square():
+    assert _defect_ratio(0.0, 1e-200) == 0.0
+    assert _defect_ratio(1e-3, 0.0) == 0.0
+    # where the square is positive the ratio is today's defect / r^2
+    assert _defect_ratio(3e-7, 1e-3) == 3e-7 / (1e-3 * 1e-3)
+    # 1e-170^2 underflows to 0.0; the ratio divides twice instead
+    assert _defect_ratio(1e-300, 1e-170) == pytest.approx(1e40, rel=1e-12)
+    assert _defect_ratio(1.0, 1e-200) == math.inf
 
 
 def test_newton_float_quadratic_envelope():

@@ -1,13 +1,16 @@
 """Differential checks of the series and Fourier kernels against their plain-loop forms.
 
 The exact Cauchy product and the exact triangular solve run on integer
-numerators over common denominators; here they are compared with direct
-Fraction loops.  The float series kernels keep their summation order, so they
-are compared bit for bit with the loops they replaced.  The Fourier product
-convolves only the occupied bands and the strip norm is one array
-expression; both change rounding, so they are compared with the dense
-convolution and the per-harmonic loop within tolerances fixed beforehand,
-and circle_run is compared with a dense copy of itself.
+numerators over common denominators, and the exact model map x * integral(x)
+and its linearization run as the product rule on the integer numerators of
+the integrals; here they are compared with direct Fraction loops and with
+the two-product forms they replaced.  The float series kernels keep their
+summation order, so they are compared bit for bit with the loops they
+replaced.  The Fourier product convolves only the occupied bands and the
+strip norm is one array expression; both change rounding, so they are
+compared with the dense convolution and the per-harmonic loop within
+tolerances fixed beforehand, and circle_run is compared with a dense copy of
+itself.
 """
 
 import math
@@ -22,6 +25,7 @@ from scale_iter.engines import (
     _solve_linearization,
     _verdict_from_steps,
     circle_run,
+    eps_integral_map,
     newton_invert,
 )
 from scale_iter.fourier import (
@@ -72,6 +76,25 @@ def naive_exact_mul(f, g):
         for j in range(D + 1 - i):
             out[i + j] += f.coefficients[i] * g.coefficients[j]
     return tuple(out)
+
+
+def naive_exact_integral(f):
+    D = f.truncation
+    return TruncatedPowerSeries(
+        D, "exact", (Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(f.coefficients[:D]))
+    )
+
+
+def two_product_linearization(x, xi):
+    """x * integral(xi) + xi * integral(x), as two Fraction products."""
+    left = naive_exact_mul(x, naive_exact_integral(xi))
+    right = naive_exact_mul(xi, naive_exact_integral(x))
+    return tuple(a + b for a, b in zip(left, right))
+
+
+def two_product_map(x):
+    """x * integral(x), as one Fraction product."""
+    return naive_exact_mul(x, naive_exact_integral(x))
 
 
 def weighted_exact_solve(x, rhs, drop_top):
@@ -130,6 +153,40 @@ def test_exact_mul_zero_operand():
     zero = TruncatedPowerSeries.zero(9)
     assert ps_mul(f, zero).coefficients == zero.coefficients
     assert ps_mul(zero, f).is_zero()
+
+
+def _product_rule_cases(rng):
+    for D in (0, 1, 2):
+        yield _random_exact(rng, D, 1.0), _random_exact(rng, D, 1.0)
+    for density in (1.0, 0.8, 0.3, 0.1):  # dense to sparse
+        for _ in range(8):
+            D = rng.randint(3, 30)
+            yield _random_exact(rng, D, density), _random_exact(rng, D, density)
+    for _ in range(6):  # nonzero top coefficient, which the integral leaves out
+        D = rng.randint(3, 20)
+        x, xi = _random_exact(rng, D, 0.5), _random_exact(rng, D, 0.5)
+        top = (Fraction(rng.randint(1, 60), rng.choice([1, 7, 96])),)
+        yield TruncatedPowerSeries(D, "exact", x.coefficients[:D] + top), xi
+        yield x, TruncatedPowerSeries(D, "exact", xi.coefficients[:D] + top)
+    for D in (1, 9, 30):  # one operand twice, which takes the symmetric square
+        x = _random_exact(rng, D, 0.9)
+        yield x, x
+    for D in (0, 5, 17):  # zero operands
+        zero = TruncatedPowerSeries.zero(D)
+        yield _random_exact(rng, D), zero
+        yield zero, _random_exact(rng, D)
+        yield zero, zero
+
+
+def test_exact_linearization_matches_two_products():
+    for x, xi in _product_rule_cases(random.Random(4242)):
+        assert linearization_action(x, xi).coefficients == two_product_linearization(x, xi)
+
+
+def test_exact_map_matches_one_product():
+    for x, xi in _product_rule_cases(random.Random(4343)):
+        for f in (x, xi):
+            assert eps_integral_map(f).coefficients == two_product_map(f)
 
 
 @pytest.mark.parametrize("drop_top", [0, 1, 2])
