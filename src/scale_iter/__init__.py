@@ -4,6 +4,8 @@ Subpackages by theme: bruno (sequence calculus and scalar orbit models),
 factors (loss-of-regularity bounds and radius schedules), series (truncated
 power series with exact arithmetic), fourier (harmonic-capped circle data),
 engines (runnable iterations and reports), cli (experiment front end).
+The fourier names are not re-exported here: import them from
+scale_iter.fourier, which is the only module that loads numpy.
 """
 
 from .bruno import (
@@ -45,20 +47,10 @@ from .series import (
     ps_mul,
     ps_norm,
 )
-from .fourier import (
-    CircleVectorField,
-    FourierOneForm,
-    lie_derivative_oneform,
-    oneform_lie_exp,
-    solve_homological,
-    strip_l2_norm,
-    tail_decay_check,
-)
 from .engines import (
     IterationReport,
     ScalarElement,
     SeriesElement,
-    OneFormElement,
     circle_run,
     contraction_run,
     kam_run,

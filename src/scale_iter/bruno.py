@@ -96,7 +96,7 @@ class LogSequence:
         return len(self.log_terms) - 1
 
     def log_term(self, n: int) -> float:
-        if not 0 <= n <= self.horizon:
+        if not 0 <= n < len(self.log_terms):
             raise HorizonError(f"index {n} beyond horizon {self.horizon}")
         return self.log_terms[n]
 
@@ -135,8 +135,11 @@ class BrunoSequence:
         return self.phases[n]
 
     def log_term(self, n: int) -> float:
-        # ldexp(u, n) = u * 2^n with exact scaling.
-        return self.sign * math.ldexp(self.phase(n), n)
+        # ldexp(u, n) = u * 2^n with exact scaling; every scan reads its terms
+        # here, so the tuple is indexed without going through phase()
+        if not 0 <= n < len(self.phases):
+            raise HorizonError(f"index {n} beyond horizon {self.horizon}")
+        return self.sign * math.ldexp(self.phases[n], n)
 
     def term(self, n: int) -> float:
         return _safe_exp(self.log_term(n))

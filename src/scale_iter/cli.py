@@ -7,13 +7,15 @@ wrong types, non-finite numbers, values out of range or above the resource
 ceilings, and explicit sequences that end before the last index the engine
 reads are config errors, found before anything runs.  Exit status: 0 on
 verdict success, 2 on verdict failure (non-tame pair, divergence, missing
-bound index), 1 on config or I/O errors.
+bound index), 1 on config or I/O errors.  A JSON report is one line with
+sorted keys.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -203,7 +205,7 @@ def _parse_morse(cfg: dict) -> Command:
 
     def command() -> tuple[dict, int]:
         result = engines.morse_run(f0, steps)
-        payload = report_payload(result.report)
+        payload = {"report": result.report}
         payload["functions"] = [[str(c) for c in f.coefficients] for f in result.functions]
         payload["generators"] = [[str(c) for c in g.coefficients] for g in result.generators]
         return payload, 0
@@ -226,7 +228,7 @@ def _parse_circle(cfg: dict) -> Command:
 
     def command() -> tuple[dict, int]:
         result = engines.circle_run(eps, steps, cap, order, strip_width)
-        return report_payload(result.report), 0 if result.report.verdict != "diverged" else 2
+        return {"report": result.report}, 0 if result.report.verdict != "diverged" else 2
 
     return command
 
@@ -252,7 +254,7 @@ def _parse_newton(cfg: dict) -> Command:
             result = engines.quasi_newton_run(y, x0, steps, defect, radius)
         else:
             result = engines.newton_invert(y, x0, steps, radius)
-        payload = report_payload(result.report)
+        payload = {"report": result.report}
         payload["residual_valuations"] = list(result.residual_valuations)
         return payload, 0 if result.report.verdict == "converged" else 2
 
@@ -307,7 +309,7 @@ def _parse_drive(cfg: dict) -> Command:
 
 
 def _drive_payload(result: engines.DriveResult) -> tuple[dict, int]:
-    return report_payload(result.report), 0 if result.report.verdict == "converged" else 2
+    return {"report": result.report}, 0 if result.report.verdict == "converged" else 2
 
 
 _PARSERS: dict[str, Callable[[dict], Command]] = {
@@ -351,24 +353,24 @@ def validate(config) -> list[str]:
     return []
 
 
-def report_payload(report: engines.IterationReport) -> dict:
-    return {"report": engines.report_to_json(report)}
-
-
 def emit_table(payload: dict, fmt: str, out_path: Path | None) -> str:
-    """Serialize a payload; CSV uses the fixed report columns, JSON is lossless."""
+    """Serialize a payload whose "report" is an IterationReport.
+
+    JSON is one line with sorted keys and no padding, which keeps json on its
+    C encoder (pretty-print with python -m json.tool); CSV uses the fixed
+    report columns.
+    """
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        if "report" in payload:
+            payload = {**payload, "report": engines.report_to_json(payload["report"])}
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     elif fmt == "csv":
         if "report" in payload:
-            report = engines.report_from_json(payload["report"])
-            rows = engines.report_csv_rows(report)
+            rows = engines.report_csv_rows(payload["report"])
         else:
             rows = [["key", "value"]] + [
                 [k, json.dumps(v)] for k, v in sorted(payload.items()) if k != "schema"
             ]
-        import io
-
         buf = io.StringIO()
         csv.writer(buf).writerows(rows)
         text = buf.getvalue()

@@ -16,9 +16,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from .bruno import BrunoSequence, PreconditionError
 from .factors import (
@@ -28,13 +26,6 @@ from .factors import (
     kam_schedule_tame_check,
     rho_for_perturbative,
     schedule_build,
-)
-from .fourier import (
-    FourierOneForm,
-    cos_coefficient,
-    lie_exp_terms,
-    solve_homological,
-    strip_l2_norm,
 )
 from .series import (
     Derivation,
@@ -49,11 +40,13 @@ from .series import (
     ps_norm,
 )
 
+if TYPE_CHECKING:
+    from .fourier import FourierOneForm
+
 __all__ = [
     "ScaledElement",
     "ScalarElement",
     "SeriesElement",
-    "OneFormElement",
     "StepRecord",
     "IterationReport",
     "SingularLinearizationError",
@@ -73,7 +66,6 @@ __all__ = [
     "scalar_contraction_family",
     "scalar_kam_family",
     "report_to_json",
-    "report_from_json",
     "report_csv_rows",
 ]
 
@@ -135,17 +127,6 @@ class SeriesElement:
         return SeriesElement(self.series - other.series, self.norm_mode)
 
 
-@dataclass(frozen=True)
-class OneFormElement:
-    form: FourierOneForm
-
-    def norm_at(self, radius: float) -> float:
-        return strip_l2_norm(self.form, radius)
-
-    def sub(self, other: "OneFormElement") -> "OneFormElement":
-        return OneFormElement(FourierOneForm(self.form.cap, self.form.data - other.form.data))
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -197,24 +178,6 @@ def report_to_json(report: IterationReport) -> dict:
             for r in report.steps
         ],
     }
-
-
-def report_from_json(doc: dict) -> IterationReport:
-    if doc.get("schema") != "report.v1":
-        raise ValueError("not a report.v1 document")
-    steps = tuple(
-        StepRecord(
-            int(r["n"]),
-            float(r["s"]),
-            float(r["step_norm"]),
-            float(r["residual"]),
-            None if r["bound"] is None else float(r["bound"]),
-            bool(r["flag"]),
-            dict(r.get("extras", {})),
-        )
-        for r in doc["steps"]
-    )
-    return IterationReport(doc["engine"], steps, doc["verdict"], dict(doc.get("meta", {})))
 
 
 def report_csv_rows(report: IterationReport) -> list[list[object]]:
@@ -347,6 +310,11 @@ def circle_run(
     harmonics re-appear with higher-order coefficients, which the report
     records for |k| <= 4 together with the strip norm of what remains.
     """
+    # numpy and the Fourier layer load here, so the other commands never pay for them
+    import numpy as np
+
+    from .fourier import FourierOneForm, cos_coefficient, lie_exp_terms, solve_homological, strip_l2_norm
+
     if not 0.0 <= eps < 1.0:
         raise PreconditionError("eps must sit in [0, 1)")
     if cap < 2 ** (steps + 1):

@@ -387,11 +387,15 @@ def ps_norm(f: TruncatedPowerSeries, t: float, mode: str = "sup-bound") -> float
     'sup-bound' is the coefficient majorant sum |c_k| t^k, an upper bound for
     the sup over the closed disk.  'l2-disk' is the L2 norm over the disk,
     sqrt(sum |c_k|^2 pi t^(2k+2) / (k+1)) by orthogonality of monomials.
+    An exact coefficient past the float range sends the sum to the log domain.
     """
     if t <= 0.0:
         raise ValueError("radius must be positive")
     if f.mode == "exact":  # float first: the same value, without an abs Fraction
-        mags = [abs(float(c)) for c in f.coefficients]
+        try:
+            mags = [abs(float(c)) for c in f.coefficients]
+        except OverflowError:
+            return _log_domain_norm(f.coefficients, t, mode)
     else:
         mags = [abs(c) for c in f.coefficients]
     if mode == "sup-bound":
@@ -400,6 +404,28 @@ def ps_norm(f: TruncatedPowerSeries, t: float, mode: str = "sup-bound") -> float
         total = math.fsum(m * m * math.pi * t ** (2 * k + 2) / (k + 1) for k, m in enumerate(mags))
         return math.sqrt(total)
     raise ValueError(f"unknown norm mode {mode!r}")
+
+
+def _log_domain_norm(coeffs: tuple, t: float, mode: str) -> float:
+    """ps_norm of exact coefficients some of which overflow a float.
+
+    log|c| = log|numerator| - log(denominator) holds for integers of any size;
+    the terms are summed as logs shifted by the largest one, and the norm
+    saturates to inf only when it leaves the float range itself.
+    """
+    log_t = math.log(t)
+    logs = [(k, math.log(abs(c.numerator)) - math.log(c.denominator)) for k, c in enumerate(coeffs) if c]
+    if mode == "sup-bound":
+        terms, power = [m + k * log_t for k, m in logs], 1.0
+    elif mode == "l2-disk":
+        terms, power = [2.0 * m + (2 * k + 2) * log_t + math.log(math.pi / (k + 1)) for k, m in logs], 0.5
+    else:
+        raise ValueError(f"unknown norm mode {mode!r}")
+    top = max(terms)
+    try:
+        return math.exp(power * (top + math.log(math.fsum(math.exp(x - top) for x in terms))))
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

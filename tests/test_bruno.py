@@ -1,6 +1,7 @@
 """Sequence calculus: transforms, summability, orbits, tame pairs."""
 
 import math
+import random
 
 import pytest
 
@@ -252,3 +253,21 @@ def test_log_sequence_wrapper():
     assert seq.term(1) == pytest.approx(math.exp(-1.0))
     with pytest.raises(HorizonError):
         seq.log_term(3)
+
+
+def test_log_term_guards_both_ends_of_the_horizon():
+    for seq in (BrunoSequence.constant(0.5, 6), LogSequence((0.0, -1.0, -2.0))):
+        for n in (-1, seq.horizon + 1):
+            with pytest.raises(HorizonError):
+                seq.log_term(n)
+
+
+def test_bruno_log_term_is_the_scaled_phase():
+    rng = random.Random(20261018)
+    for _ in range(20):
+        sign = rng.choice((-1, 1))
+        phases = [rng.uniform(0.0, 3.0) * 2.0 ** -rng.randrange(60) for _ in range(rng.randrange(1, 80))]
+        seq = BrunoSequence.from_phases(sign, phases)
+        assert [seq.log_term(n) for n in range(len(phases))] == [
+            sign * math.ldexp(u, n) for n, u in enumerate(phases)
+        ]

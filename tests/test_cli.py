@@ -5,11 +5,14 @@ import io
 import json
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from scale_iter import cli
-from scale_iter.engines import report_from_json
+from scale_iter import cli, engines, factors
+from scale_iter.series import TruncatedPowerSeries
 
 
 def write_config(tmp_path, name, payload):
@@ -184,13 +187,79 @@ def test_run_drive_kam(tmp_path):
     assert cli.run(cfg, out_path=out) == 0
 
 
-def test_report_json_round_trips_through_cli(tmp_path):
-    cfg = {"command": "circle", "eps": 0.1, "steps": 2, "cap": 16}
-    out = tmp_path / "c.json"
-    cli.run(cfg, out_path=out)
-    doc = json.loads(out.read_text())
-    report = report_from_json(doc["report"])
-    assert report_from_json(json.loads(json.dumps(doc["report"]))) == report
+def _emission_cases():
+    """(config, the same engine call made directly) for four engines."""
+    D = 16
+    exact_y = TruncatedPowerSeries.from_dict({1: 1, 2: "1/10"}, D)
+    float_y = TruncatedPowerSeries.from_dict({1: 1.0, 2: 0.1}, D, "float")
+    kam = factors.factor_from_spec({"type": "kam"}, 27)
+    return [
+        ({"command": "circle", "eps": 0.1, "steps": 2, "cap": 16}, lambda: engines.circle_run(0.1, 2, 16)),
+        (
+            {"command": "newton", "mode": "float", "steps": 4, "truncation": D, "y": {"1": 1.0, "2": 0.1}},
+            lambda: engines.newton_invert(float_y, TruncatedPowerSeries.from_dict({0: 1.0}, D, "float"), 4),
+        ),
+        (
+            {"command": "newton", "steps": 4, "truncation": D, "defect": 2, "y": {"1": "1", "2": "1/10"}},
+            lambda: engines.quasi_newton_run(exact_y, TruncatedPowerSeries.from_dict({0: 1}, D), 4, 2),
+        ),
+        (
+            {"command": "drive", "kind": "kam", "t": 4.0, "x0": 0.25, "steps": 25},
+            lambda: engines.kam_run(
+                engines.scalar_kam_family(kam), kam, 0.5, 1.9, 4.0, engines.ScalarElement(0.25), 25
+            ),
+        ),
+    ]
+
+
+def test_report_json_round_trips_through_cli(tmp_path, capsys):
+    # one JSON line per report, the same floats as the engine's own report
+    # JSON, the same text in an --out file, and CSV rows from the report object
+    for cfg, call in _emission_cases():
+        report = call().report
+        assert cli.run(dict(cfg)) in (0, 2)
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert json.loads(out)["report"] == engines.report_to_json(report)
+        path = tmp_path / "report.json"
+        cli.run(dict(cfg), out_path=path)
+        assert path.read_text(encoding="utf-8") == out[:-1]
+        buf = io.StringIO()
+        csv.writer(buf).writerows(engines.report_csv_rows(report))
+        cli.run(dict(cfg), out_path=path, fmt="csv")
+        assert path.read_bytes().decode("utf-8") == buf.getvalue()
+
+
+def test_only_the_circle_command_loads_numpy():
+    configs = [
+        {"command": "bruno", "kind": "constant", "value": 0.5, "horizon": 8},
+        {"command": "tame", "a": {"kind": "geometric", "ratio": 2.0}, "b": {"kind": "geometric", "ratio": 0.25}},
+        {"command": "schedule", "rho": {"kind": "constant", "value": 0.25}},
+        {"command": "morse"},
+        {"command": "newton", "truncation": 16, "steps": 4},
+        {"command": "newton", "mode": "float", "truncation": 16, "steps": 4},
+        {"command": "drive", "kind": "contraction"},
+        {"command": "drive", "kind": "kam"},
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from scale_iter import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.run(c) for c in json.loads(sys.argv[1])]\n"
+        "    before = 'numpy' in sys.modules\n"
+        "    circle = cli.run({'command': 'circle'})\n"
+        "print(json.dumps([codes, before, circle, 'numpy' in sys.modules]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(configs)],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, before, circle, after = json.loads(proc.stdout)
+    assert all(code in (0, 2) for code in codes), codes
+    assert not before
+    assert circle == 0 and after
 
 
 def test_exit_code_partition_over_mutated_configs(tmp_path):
@@ -230,7 +299,7 @@ def test_main_end_to_end(tmp_path, capsys):
     )
     code = cli.main(["bruno", "--config", str(cfg_path)])
     assert code == 0
-    assert '"a_pi": 1.0' in capsys.readouterr().out
+    assert json.loads(capsys.readouterr().out)["a_pi"] == 1.0
 
 
 def test_main_command_mismatch(tmp_path, capsys):
@@ -304,10 +373,15 @@ def test_exact_newton_tiny_constant_term_is_not_singular(tmp_path):
     assert doc["residual_valuations"] == [2, 3, 5, 9, 17]
 
 
-def test_exact_newton_float_overflow_exits_one(capsys):
-    cfg = {"command": "newton", "x0": {"0": "1e-200"}, "mode": "exact", "truncation": 16, "steps": 4}
-    assert cli.run(cfg) == 1
-    assert "too large for a float" in capsys.readouterr().err
+def test_exact_newton_coefficients_past_the_float_range(capsys):
+    # x0 = 1e-200 makes the solution coefficients overflow a float, and
+    # x0 = 1e200 the residual's; their norms are taken in the log domain
+    for x0 in ("1e-200", "1e200"):
+        cfg = {"command": "newton", "mode": "exact", "x0": {"0": x0}, "truncation": 16, "steps": 4}
+        assert cli.run(cfg) in (0, 2)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["report"]["steps"]
 
 
 def test_exact_newton_past_the_float_range_of_the_squared_residual_norm(capsys):

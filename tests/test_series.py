@@ -218,6 +218,24 @@ def test_norm_examples():
     assert ps_norm(TruncatedPowerSeries.zero(5), 1.0, "l2-disk") == 0.0
 
 
+def test_exact_norm_past_the_float_range():
+    # coefficients near 10^400 overflow float(); the norms are taken from the
+    # integers in the log domain and compared with an exact evaluation
+    big = 10**400
+    f = S({1: Fraction(1, 3), 2: big, 3: Fraction(-3 * big, 7)}, 5)
+    t = 1e-100
+    tq = Fraction(t)
+    sup = sum(abs(c) * tq**k for k, c in enumerate(f.coefficients))
+    assert ps_norm(f, t) == pytest.approx(float(sup), rel=1e-12)
+    l2 = sum(c * c * tq ** (2 * k + 2) / (k + 1) for k, c in enumerate(f.coefficients))
+    assert ps_norm(f, t, "l2-disk") == pytest.approx(math.sqrt(math.pi * float(l2)), rel=1e-12)
+    # a norm that leaves the float range itself saturates
+    assert ps_norm(f, 0.5) == math.inf
+    assert ps_norm(f, 0.5, "l2-disk") == math.inf
+    with pytest.raises(ValueError):
+        ps_norm(f, t, "sup")
+
+
 def _random_poly(rng, D):
     return S(
         {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(D + 1)},
