@@ -5,9 +5,10 @@ step norms, residuals and monitored bounds.  The generic drivers
 (contraction_run, kam_run) treat their contraction or mixed bounds as
 assumptions to monitor: violations are flagged in the report rather than
 aborting, since probing those hypotheses is the point of running them.
-Exact Newton runs on the antiderivative X = integral(x): the model map is
-(X^2/2)' and its linearization (X * integral(xi))', so both are integer
-products, and the triangular solve builds one Fraction per row.
+Exact Newton runs on integers: X = integral(x) and Q = X^2/2 - integral(y)
+are numerators over one denominator each, the residual is Q', the
+correction Xi = integral(xi) is the division Q / X with one Fraction per
+row, and a step updates Q by (Q - X Xi) + Xi^2/2 without re-squaring X.
 """
 
 from __future__ import annotations
@@ -30,8 +31,12 @@ from .factors import (
 from .series import (
     Derivation,
     TruncatedPowerSeries,
+    _cauchy,
+    _cauchy_square,
+    _common_denominator,
     _integral_numerators,
     _integral_product_derivative,
+    _numerator_norm,
     linearization_action,
     ps_antiderive,
     ps_divide_monomial,
@@ -118,13 +123,12 @@ class ScalarElement:
 @dataclass(frozen=True)
 class SeriesElement:
     series: TruncatedPowerSeries
-    norm_mode: str = "sup-bound"
 
     def norm_at(self, radius: float) -> float:
-        return ps_norm(self.series, radius, self.norm_mode)
+        return ps_norm(self.series, radius)
 
     def sub(self, other: "SeriesElement") -> "SeriesElement":
-        return SeriesElement(self.series - other.series, self.norm_mode)
+        return SeriesElement(self.series - other.series)
 
 
 # ---------------------------------------------------------------------------
@@ -394,47 +398,123 @@ def eps_integral_map(x: TruncatedPowerSeries) -> TruncatedPowerSeries:
 def _solve_linearization(
     x: TruncatedPowerSeries, rhs: TruncatedPowerSeries, drop_top: int, step: int
 ) -> TruncatedPowerSeries:
-    """Triangular solve of linearization_action(x, xi) = rhs.
+    """Float triangular solve of linearization_action(x, xi) = rhs.
 
     Row m + 1 determines xi_m with diagonal x_0 (m+2)/(m+1); the drop_top
     highest rows can be discarded to produce a deliberately approximate
-    inverse.  Exactness of the arithmetic follows the mode of x.
+    inverse.  Exact runs divide on integers instead (_divide).
     """
-    D, mode = x.truncation, x.mode
+    D = x.truncation
     x0 = x.coefficients[0]
-    if (x0 == 0) if mode == "exact" else (abs(x0) < 1e-12):
+    if abs(x0) < 1e-12:
         raise SingularLinearizationError(step)
 
-    xi = list(TruncatedPowerSeries.zero(D, mode).coefficients)
-    if mode == "exact":
-        # Row m + 1 of (integral(x) * integral(xi))' = rhs reads
-        # (m+2) (x_0 a_m + S) = rhs_(m+1) for the coefficients a_j = xi_j/(j+1)
-        # of integral(xi).  S sums a_j b_(m-j) over j < m with b the
-        # coefficients of integral(x); it is an integer convolution over da * db,
-        # and a_m is one Fraction built from integers.
-        nb, db = _integral_numerators(x)
-        p0, q0 = x0.numerator, x0.denominator
-        na: list[int] = []
-        da = 1
-        for m in range(D - drop_top):
-            r = rhs.coefficients[m + 1]
-            s = sum(map(operator.mul, na, nb[m:0:-1]))
-            w, dd = (m + 2) * r.denominator, da * db
-            a = Fraction((r.numerator * dd - w * s) * q0, w * dd * p0)
-            xi[m] = (m + 1) * a
-            if da % a.denominator:
-                grow = a.denominator // math.gcd(da, a.denominator)
-                na = [n * grow for n in na]
-                da *= grow
-            na.append(a.numerator * (da // a.denominator))
-    else:
-        for m in range(D - drop_top):
-            # (Dxi)_(m+1) = sum_j xi_j x_(m-j) (1/(j+1) + 1/(m-j+1))
-            acc = rhs.coefficients[m + 1]
-            for j in range(m):
-                acc = acc - xi[j] * x.coefficients[m - j] * ((m + 2) / ((j + 1) * (m - j + 1)))
-            xi[m] = acc / (x0 * ((m + 2) / (m + 1)))
-    return TruncatedPowerSeries(D, mode, tuple(xi))
+    xi = [0j] * (D + 1)
+    for m in range(D - drop_top):
+        # (Dxi)_(m+1) = sum_j xi_j x_(m-j) (1/(j+1) + 1/(m-j+1))
+        acc = rhs.coefficients[m + 1]
+        for j in range(m):
+            acc = acc - xi[j] * x.coefficients[m - j] * ((m + 2) / ((j + 1) * (m - j + 1)))
+        xi[m] = acc / (x0 * ((m + 2) / (m + 1)))
+    return TruncatedPowerSeries(D, "float", tuple(xi))
+
+
+def _divide(nq: list[int], dq: int, nx: list[int], dx: int, rows: int, step: int) -> tuple[list[int], int]:
+    """The first `rows` coefficients a_m of Q / X, as numerators over one growing denominator da.
+
+    nq[m] / dq is Q at degree m + 2 and nx[k] / dx is X at degree k + 1.  Row m
+    reads x_0 a_m + S = Q_(m+2) with x_0 = X_1, where S, the sum of
+    a_j X_(m+1-j) over j < m, is an integer convolution; a_m is one Fraction.
+    """
+    p0 = nx[0]
+    if p0 == 0:
+        raise SingularLinearizationError(step)
+    na: list[int] = []
+    da = 1
+    for m in range(rows):
+        s = sum(map(operator.mul, na, nx[m:0:-1]))
+        a = Fraction(nq[m] * da * dx - s * dq, dq * da * p0)
+        if da % a.denominator:
+            grow = a.denominator // math.gcd(da, a.denominator)
+            na = [n * grow for n in na]
+            da *= grow
+        na.append(a.numerator * (da // a.denominator))
+    return na, da
+
+
+def _combine(nu: list[int], du: int, nv: list[int], dv: int, sign: int) -> tuple[list[int], int]:
+    """nu/du + sign * nv/dv entry by entry (nv may be shorter), over its least common denominator."""
+    den = math.lcm(du, dv)
+    fu, fv = den // du, sign * (den // dv)
+    out = [a * fu for a in nu]
+    for k, b in enumerate(nv):
+        if b:
+            out[k] += b * fv
+    g = math.gcd(den, *out)
+    return ([a // g for a in out], den // g) if g > 1 else (out, den)
+
+
+def _derivative(nq: list[int], dq: int) -> tuple[list[int], int]:
+    """Numerators of Q' at degrees 0..D, for Q at degrees 2..D+1."""
+    return [0, *((m + 2) * q for m, q in enumerate(nq))], dq
+
+
+class _FloatNewton:
+    """Float Newton state: x and the residual x * integral(x) - y as series."""
+
+    norm = staticmethod(ps_norm)
+    valuation = staticmethod(operator.attrgetter("valuation"))
+
+    def __init__(self, x0: TruncatedPowerSeries, residual0: TruncatedPowerSeries, y: TruncatedPowerSeries, defect: int):
+        self.x, self.residual, self.y, self.defect = x0, residual0, y, defect
+
+    def step(self, n: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
+        """Move to x - xi; return xi and the defect residual - L(x) xi."""
+        xi = _solve_linearization(self.x, self.residual, self.defect, n)
+        defect = self.residual - linearization_action(self.x, xi)
+        self.x = self.x - xi
+        self.residual = eps_integral_map(self.x) - self.y
+        return xi, defect
+
+    def solution(self) -> TruncatedPowerSeries:
+        return self.x
+
+
+class _ExactNewton:
+    """Exact Newton state on integers: X = integral(x) and Q = X^2/2 - integral(y).
+
+    X sits at degrees 1..D and Q at degrees 2..D+1, each as numerators over
+    one denominator; the residual is Q', and Xi = integral(xi) solves
+    X Xi = Q row by row.  A step sets X <- X - Xi and Q <- (Q - X Xi) + Xi^2/2,
+    which is (X - Xi)^2/2 - integral(y) in the truncated ring.  x_D stays
+    aside, since the solve never writes xi_D.  Series handed to the loop are
+    (numerators at degrees 0..D, denominator) pairs.
+    """
+
+    norm = staticmethod(lambda f, t: _numerator_norm(*f, t))
+    valuation = staticmethod(lambda f: next((k for k, n in enumerate(f[0]) if n), len(f[0])))
+
+    def __init__(self, x0: TruncatedPowerSeries, residual0: TruncatedPowerSeries, y: TruncatedPowerSeries, defect: int):
+        self.D, self.rows, self.top = x0.truncation, x0.truncation - defect, x0.coefficients[-1]
+        self.nx, self.dx = _integral_numerators(x0)
+        self.nq, self.dq = _common_denominator([c / (m + 2) for m, c in enumerate(residual0.coefficients[1:])])
+        self.residual = _derivative(self.nq, self.dq)
+
+    def step(self, n: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+        """Move to X - Xi; return xi and the defect (Q - X Xi)'."""
+        D = self.D
+        na, da = _divide(self.nq, self.dq, self.nx, self.dx, self.rows, n)
+        # the defect takes its own product, so it checks the solve rather than echoing it
+        npr, dpr = _combine(self.nq, self.dq, _cauchy(na, self.nx, D - 1, 0), da * self.dx, -1)
+        self.nx, self.dx = _combine(self.nx, self.dx, na, da, -1)
+        self.nq, self.dq = _combine(npr, dpr, _cauchy_square(na, D - 1), 2 * da * da, 1)
+        self.residual = _derivative(self.nq, self.dq)
+        xi = [(j + 1) * a for j, a in enumerate(na)] + [0] * (D + 1 - len(na))
+        return (xi, da), _derivative(npr, dpr)
+
+    def solution(self) -> TruncatedPowerSeries:
+        head = (Fraction((k + 1) * n, self.dx) for k, n in enumerate(self.nx))
+        return TruncatedPowerSeries(self.D, "exact", (*head, self.top))
 
 
 def _defect_ratio(defect_norm: float, r_norm: float) -> float:
@@ -477,42 +557,34 @@ def _newton_loop(
         idx = min(idx, schedule.steps)
         return schedule.radius(idx)
 
-    x = x0
-    records: list[StepRecord] = []
-    valuations: list[int] = []
+    D = x0.truncation
     image0 = eps_integral_map(x0)
-    residual = residual0 = image0 - y
-    valuations.append(residual.valuation)
+    residual0 = image0 - y
+    newton = (_ExactNewton if x0.mode == "exact" else _FloatNewton)(x0, residual0, y, defect)
+    records: list[StepRecord] = []
+    valuations = [newton.valuation(newton.residual)]
     for n in range(steps):
-        if residual.is_zero():
+        if valuations[-1] > D:  # zero residual
             break
+        residual = newton.residual
         try:
-            xi = _solve_linearization(x, residual, defect, n)
+            xi, defect_series = newton.step(n)
         except SingularLinearizationError:
             records.append(
-                StepRecord(n, radius_for(n), math.inf, ps_norm(residual, radius_for(n)), 0.0, False, {})
+                StepRecord(n, radius_for(n), math.inf, newton.norm(residual, radius_for(n)), 0.0, False, {})
             )
-            report = IterationReport(
-                engine,
-                tuple(records),
-                "singular",
-                {"failed_step": n},
-            )
-            return NewtonResult(report, x, tuple(valuations))
-
-        recon = linearization_action(x, xi)
-        defect_series = residual - recon
-        x_next = x - xi
-        residual_next = eps_integral_map(x_next) - y
+            report = IterationReport(engine, tuple(records), "singular", {"failed_step": n})
+            return NewtonResult(report, newton.solution(), tuple(valuations))
 
         s_in = radius_for(n)
         s_half = radius_for(n, half=True)
-        r_norm = ps_norm(residual, s_half)
-        step_norm = ps_norm(xi, s_in)
-        defect_norm = ps_norm(defect_series, s_in)
-        next_norm = ps_norm(residual_next, s_in)
+        r_norm = newton.norm(residual, s_half)
+        step_norm = newton.norm(xi, s_in)
+        defect_norm = newton.norm(defect_series, s_in)
+        next_norm = newton.norm(newton.residual, s_in)
+        valuations.append(newton.valuation(newton.residual))
         extras = {
-            "residual_valuation": residual_next.valuation,
+            "residual_valuation": valuations[-1],
             "defect_norm": defect_norm,
             "defect_ratio": _defect_ratio(defect_norm, r_norm),
         }
@@ -527,14 +599,11 @@ def _newton_loop(
                 extras=extras,
             )
         )
-        x = x_next
-        residual = residual_next
-        valuations.append(residual.valuation)
 
-    final_norm = ps_norm(residual, norm_radius)
+    final_norm = newton.norm(newton.residual, norm_radius)
     verdict = (
         "converged"
-        if residual.is_zero() or final_norm < CAUCHY_TOL
+        if valuations[-1] > D or final_norm < CAUCHY_TOL
         else _verdict_from_steps([r.step_norm for r in records])
     )
     report = IterationReport(
@@ -552,7 +621,7 @@ def _newton_loop(
             ),
         },
     )
-    return NewtonResult(report, x, tuple(valuations))
+    return NewtonResult(report, newton.solution(), tuple(valuations))
 
 
 def newton_invert(

@@ -228,15 +228,16 @@ def schedule_build(
         raise ScheduleError("at least one step is required")
     if steps - 1 > rho.horizon:
         raise HorizonError(f"need rho terms through {steps - 1}, horizon is {rho.horizon}")
+    phases = rho.phases  # steps - 1 <= horizon, checked above
     for n in range(steps):
-        if math.ldexp(rho.phase(n), n) <= _LOG2 * (1.0 - 1e-12):
+        if math.ldexp(phases[n], n) <= _LOG2 * (1.0 - 1e-12):
             raise ScheduleError(f"rho term at {n} is >= 1/2; the schedule requires rho < 1/2")
     if rho.horizon >= 2 and not is_bruno(rho, rho.horizon, bruno_tol):
         raise ScheduleError("rho fails the summability test; schedule would collapse")
 
     logs = [math.log(t)]
     for n in range(steps):
-        logs.append(logs[-1] - math.ldexp(rho.phase(n), -exponent_shift))
+        logs.append(logs[-1] - math.ldexp(phases[n], -exponent_shift))
     return RadiusSchedule(t, rho, exponent_shift, tuple(logs))
 
 
@@ -448,7 +449,7 @@ def kam_schedule_tame_check(
         log_m.append(lm)
         log_n.append(ln)
         gain = _pow2(n) * (math.exp(sched.log_radii[n + 1]) - math.exp(sched.log_radii[n]))
-        target = math.exp(log_s_inf) * (-math.ldexp(rho.phase(n), n))
+        target = math.exp(log_s_inf) * (-math.ldexp(rho.phases[n], n))  # rho has horizon + 2 terms
         gain_ratios.append(gain / target if target != 0.0 else math.nan)
 
     verdict = is_tame(LogSequence(tuple(log_m)), LogSequence(tuple(log_n)), horizon)

@@ -5,9 +5,9 @@ Exact mode stores real coefficients as Fractions so golden computations are
 reproducible bit for bit; its Cauchy product runs on integer numerators over
 one common denominator, and its linearization_action is the product rule
 (integral(eps) * integral(xi))' on the integer numerators of the two
-integrals.  Float mode stores complex doubles.  Two disk norms
-are provided: the L2 norm over the disk of radius t, and the coefficient
-majorant sum |c_k| t^k which dominates the true sup on the disk.  The Lie
+integrals.  Float mode stores complex doubles.  The disk norm is the
+coefficient majorant sum |c_k| t^k, which dominates the true sup on the
+disk of radius t.  The Lie
 exponential of a derivation g d/dz with valuation(g) at least 2 terminates
 exactly at the truncation, which is what makes the normal-form eliminations
 below golden-testable.
@@ -16,6 +16,7 @@ below golden-testable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -280,11 +281,9 @@ def ps_antiderive(f: TruncatedPowerSeries) -> tuple[TruncatedPowerSeries, bool]:
     and the returned flag says whether anything nonzero was lost.
     """
     D, mode = f.truncation, f.mode
-    out = list(TruncatedPowerSeries.zero(D, mode).coefficients)
-    for k in range(0, D):
-        out[k + 1] = _c_scale(f.coefficients[k], Fraction(1, k + 1), mode)
-    dropped = bool(f.coefficients[D])
-    return TruncatedPowerSeries(D, mode, tuple(out)), dropped
+    zero, inverse = (_F0, Fraction) if mode == "exact" else (0j, operator.truediv)
+    out = (zero, *(c * inverse(1, k) for k, c in enumerate(f.coefficients[:D], 1)))
+    return TruncatedPowerSeries(D, mode, out), bool(f.coefficients[D])
 
 
 def ps_divide_monomial(f: TruncatedPowerSeries, k: int) -> TruncatedPowerSeries:
@@ -382,31 +381,40 @@ def _integral_product_derivative(
 
 
 def ps_norm(f: TruncatedPowerSeries, t: float, mode: str = "sup-bound") -> float:
-    """Disk norms at radius t.
+    """Coefficient majorant sum |c_k| t^k ('sup-bound'), an upper bound for the sup over the closed disk.
 
-    'sup-bound' is the coefficient majorant sum |c_k| t^k, an upper bound for
-    the sup over the closed disk.  'l2-disk' is the L2 norm over the disk,
-    sqrt(sum |c_k|^2 pi t^(2k+2) / (k+1)) by orthogonality of monomials.
     An exact coefficient past the float range sends the sum to the log domain.
     """
     if t <= 0.0:
         raise ValueError("radius must be positive")
+    if mode != "sup-bound":
+        raise ValueError(f"unknown norm mode {mode!r}")
     if f.mode == "exact":  # float first: the same value, without an abs Fraction
         try:
             mags = [abs(float(c)) for c in f.coefficients]
         except OverflowError:
-            return _log_domain_norm(f.coefficients, t, mode)
+            return _log_domain_norm(f.coefficients, t)
     else:
         mags = [abs(c) for c in f.coefficients]
-    if mode == "sup-bound":
-        return math.fsum(m * t**k for k, m in enumerate(mags))
-    if mode == "l2-disk":
-        total = math.fsum(m * m * math.pi * t ** (2 * k + 2) / (k + 1) for k, m in enumerate(mags))
-        return math.sqrt(total)
-    raise ValueError(f"unknown norm mode {mode!r}")
+    return math.fsum(m * t**k for k, m in enumerate(mags))
 
 
-def _log_domain_norm(coeffs: tuple, t: float, mode: str) -> float:
+def _numerator_norm(nums: list[int], den: int, t: float) -> float:
+    """ps_norm of the exact series with coefficient nums[k] / den at degree k, bit for bit.
+
+    int / int true division is correctly rounded, as float() of the reduced
+    Fraction is; the log-domain fallback reads the reduced Fractions.
+    """
+    if t <= 0.0:
+        raise ValueError("radius must be positive")
+    try:
+        mags = [abs(n / den) for n in nums]
+    except OverflowError:
+        return _log_domain_norm([Fraction(n, den) for n in nums], t)
+    return math.fsum(m * t**k for k, m in enumerate(mags))
+
+
+def _log_domain_norm(coeffs, t: float) -> float:
     """ps_norm of exact coefficients some of which overflow a float.
 
     log|c| = log|numerator| - log(denominator) holds for integers of any size;
@@ -414,16 +422,10 @@ def _log_domain_norm(coeffs: tuple, t: float, mode: str) -> float:
     saturates to inf only when it leaves the float range itself.
     """
     log_t = math.log(t)
-    logs = [(k, math.log(abs(c.numerator)) - math.log(c.denominator)) for k, c in enumerate(coeffs) if c]
-    if mode == "sup-bound":
-        terms, power = [m + k * log_t for k, m in logs], 1.0
-    elif mode == "l2-disk":
-        terms, power = [2.0 * m + (2 * k + 2) * log_t + math.log(math.pi / (k + 1)) for k, m in logs], 0.5
-    else:
-        raise ValueError(f"unknown norm mode {mode!r}")
+    terms = [math.log(abs(c.numerator)) - math.log(c.denominator) + k * log_t for k, c in enumerate(coeffs) if c]
     top = max(terms)
     try:
-        return math.exp(power * (top + math.log(math.fsum(math.exp(x - top) for x in terms))))
+        return math.exp(top + math.log(math.fsum(math.exp(x - top) for x in terms)))
     except OverflowError:
         return math.inf
 

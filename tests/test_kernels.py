@@ -1,10 +1,13 @@
 """Differential checks of the series and Fourier kernels against their plain-loop forms.
 
-The exact Cauchy product and the exact triangular solve run on integer
+The exact Cauchy product and the exact Newton division run on integer
 numerators over common denominators, and the exact model map x * integral(x)
 and its linearization run as the product rule on the integer numerators of
 the integrals; here they are compared with direct Fraction loops and with
-the two-product forms they replaced.  The float series kernels keep their
+the two-product forms they replaced.  Exact Newton keeps its whole state on
+integers, so newton_invert and quasi_newton_run are compared, report float
+for report float, with a Fraction Newton loop built from the public
+eps_integral_map, linearization_action and ps_norm.  The float series kernels keep their
 summation order, so they are compared bit for bit with the loops they
 replaced.  The Fourier product convolves only the occupied bands and the
 strip norm is one array expression; both change rounding, so they are
@@ -20,13 +23,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scale_iter import engines
 from scale_iter.engines import (
+    CAUCHY_TOL,
+    IterationReport,
     SingularLinearizationError,
+    StepRecord,
+    _defect_ratio,
+    _divide,
     _solve_linearization,
     _verdict_from_steps,
     circle_run,
     eps_integral_map,
     newton_invert,
+    quasi_newton_run,
 )
 from scale_iter.fourier import (
     FourierOneForm,
@@ -37,8 +47,11 @@ from scale_iter.fourier import (
 )
 from scale_iter.series import (
     TruncatedPowerSeries,
+    _numerator_norm,
     linearization_action,
+    ps_antiderive,
     ps_mul,
+    ps_norm,
     series_from_json,
     series_to_json,
 )
@@ -107,6 +120,22 @@ def weighted_exact_solve(x, rhs, drop_top):
             acc -= xi[j] * x.coefficients[m - j] * (Fraction(1, j + 1) + Fraction(1, m - j + 1))
         xi[m] = acc / (x.coefficients[0] * Fraction(m + 2, m + 1))
     return tuple(xi)
+
+
+def over_one_denominator(coeffs):
+    """Integer numerators of Fractions over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def division_kernel_solve(x, rhs, drop_top, step=0):
+    """Solve the linearization with _divide: X = integral(x), Q = integral(rhs), xi = Xi'."""
+    D = x.truncation
+    nx, dx = over_one_denominator([x.coefficients[k - 1] / k for k in range(1, D + 1)])
+    nq, dq = over_one_denominator([rhs.coefficients[m + 1] / (m + 2) for m in range(D)])
+    na, da = _divide(nq, dq, nx, dx, D - drop_top, step)
+    assert len(na) == D - drop_top
+    return tuple(Fraction((j + 1) * a, da) for j, a in enumerate(na)) + (Fraction(0),) * (drop_top + 1)
 
 
 def loop_float_mul(f, g):
@@ -198,11 +227,11 @@ def test_exact_solve_matches_weighted_sum(drop_top):
         if x.coefficients[0] == 0:
             x = TruncatedPowerSeries(D, "exact", (Fraction(rng.randint(1, 9), 4),) + x.coefficients[1:])
         rhs = _random_exact(rng, D)
-        xi = _solve_linearization(x, rhs, drop_top, 0)
-        assert xi.coefficients == weighted_exact_solve(x, rhs, drop_top)
+        xi = division_kernel_solve(x, rhs, drop_top)
+        assert xi == weighted_exact_solve(x, rhs, drop_top)
         if drop_top == 0:
             # the solve inverts the linearization on degrees 1..D
-            recon = linearization_action(x, xi)
+            recon = linearization_action(x, TruncatedPowerSeries(D, "exact", xi))
             assert recon.coefficients[1:] == rhs.coefficients[1:]
 
 
@@ -210,10 +239,25 @@ def test_exact_solve_singular_only_at_exact_zero():
     D = 6
     rhs = _random_exact(random.Random(3), D)
     tiny = TruncatedPowerSeries.from_dict({0: Fraction(1, 10**13), 1: 1}, D)
-    xi = _solve_linearization(tiny, rhs, 0, 0)
-    assert xi.coefficients == weighted_exact_solve(tiny, rhs, 0)
-    with pytest.raises(SingularLinearizationError):
-        _solve_linearization(TruncatedPowerSeries.from_dict({1: 1}, D), rhs, 0, 4)
+    assert division_kernel_solve(tiny, rhs, 0) == weighted_exact_solve(tiny, rhs, 0)
+    with pytest.raises(SingularLinearizationError) as info:
+        division_kernel_solve(TruncatedPowerSeries.from_dict({1: 1}, D), rhs, 0, 4)
+    assert info.value.step == 4
+
+
+def test_numerator_norm_matches_fraction_norm():
+    # heights from one bit to past the float range, where the sum goes to the log domain
+    rng = random.Random(61)
+    for _ in range(300):
+        D = rng.randint(0, 12)
+        bits = rng.choice([1, 20, 53, 60, 200, 1100, 1500])
+        nums = [rng.choice([0, 1, -1]) * rng.getrandbits(rng.randint(1, bits)) for _ in range(D + 1)]
+        den = rng.getrandbits(rng.randint(1, bits)) + 1
+        for t in (1e-3, 0.37, 0.5, 2.0):
+            f = TruncatedPowerSeries(D, "exact", tuple(Fraction(n, den) for n in nums))
+            assert _numerator_norm(nums, den, t) == ps_norm(f, t), (nums, den, t)
+    with pytest.raises(ValueError):
+        _numerator_norm([1], 1, 0.0)
 
 
 # ---- float kernels: same summation order, same bits ------------------------
@@ -226,6 +270,20 @@ def test_float_mul_bit_identical_to_loop():
         f = _random_float(rng, D, rng.choice([0.3, 0.8, 1.0]))
         g = _random_float(rng, D, rng.choice([0.3, 0.8, 1.0]))
         assert _bits(ps_mul(f, g).coefficients) == _bits(loop_float_mul(f, g))
+
+
+def test_float_antiderive_bit_identical_to_loop():
+    rng = random.Random(78)
+    for _ in range(40):
+        D = rng.randint(0, 60)
+        f = _random_float(rng, D, rng.choice([0.3, 0.8, 1.0]))
+        want = [0j] * (D + 1)
+        for k in range(D):
+            q = Fraction(1, k + 1)
+            want[k + 1] = f.coefficients[k] * (q.numerator / q.denominator)
+        got, dropped = ps_antiderive(f)
+        assert _bits(got.coefficients) == _bits(want)
+        assert dropped == (f.coefficients[D] != 0)
 
 
 @pytest.mark.parametrize("drop_top", [0, 1, 2])
@@ -259,6 +317,118 @@ def test_newton_exact_and_float_agree():
     assert exact.residual_valuations == (2, 3, 5, 9, 17, 33)
     for a, b in zip(exact.solution.to_float().coefficients, flt.solution.coefficients):
         assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+
+
+# ---- exact Newton on integers against a Fraction Newton loop ------------------
+
+
+def fraction_newton(y, x0, steps, defect, radius):
+    """The exact Newton loop on Fraction series, as it ran before the integer state.
+
+    Each step solves with weighted_exact_solve, takes the defect as
+    residual - linearization_action(x, xi), and re-evaluates the residual as
+    eps_integral_map(x - xi) - y; every norm is ps_norm at the one radius.
+    """
+    D = x0.truncation
+    engine = "quasi-newton" if defect else "newton"
+    image0 = eps_integral_map(x0)
+    x, residual = x0, image0 - y
+    records, valuations = [], [residual.valuation]
+    for n in range(steps):
+        if residual.is_zero():
+            break
+        if x.coefficients[0] == 0:
+            records.append(StepRecord(n, radius, math.inf, ps_norm(residual, radius), 0.0, False, {}))
+            return IterationReport(engine, tuple(records), "singular", {"failed_step": n}), x, tuple(valuations)
+        xi = TruncatedPowerSeries(D, "exact", weighted_exact_solve(x, residual, defect))
+        defect_norm = ps_norm(residual - linearization_action(x, xi), radius)
+        r_norm = ps_norm(residual, radius)
+        x = x - xi
+        residual = eps_integral_map(x) - y
+        next_norm = ps_norm(residual, radius)
+        valuations.append(residual.valuation)
+        extras = {
+            "residual_valuation": residual.valuation,
+            "defect_norm": defect_norm,
+            "defect_ratio": _defect_ratio(defect_norm, r_norm),
+        }
+        ok = next_norm <= r_norm * (1.0 + 1e-9) if r_norm > 0.0 else True
+        records.append(StepRecord(n, radius, ps_norm(xi, radius), next_norm, r_norm, ok, extras))
+    final = ps_norm(residual, radius)
+    zero_or_small = residual.is_zero() or final < CAUCHY_TOL
+    verdict = "converged" if zero_or_small else _verdict_from_steps([r.step_norm for r in records])
+    meta = {
+        "norm_radius": radius,
+        "defect": defect,
+        "final_residual_norm": final,
+        "initial_residual_norm": ps_norm(image0 - y, radius),
+        "initial_drift_norm": ps_norm(image0 - x0, radius),
+        "defect_ratio_max": max((r.extras["defect_ratio"] for r in records), default=0.0),
+    }
+    return IterationReport(engine, tuple(records), verdict, meta), x, tuple(valuations)
+
+
+def run_newton(y, x0, steps, defect, radius):
+    if defect:
+        return quasi_newton_run(y, x0, steps, defect, radius)
+    return newton_invert(y, x0, steps, radius)
+
+
+def _newton_cases(rng):
+    for D in (2, 3, 5, 8, 13, 21, 32, 47, 64):
+        for defect in sorted({0, 1, 2, D}):
+            if D > 32 and defect not in (0, 2):
+                continue
+            y = {1: Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2, 5]))}
+            for d in rng.sample(range(2, D + 1), min(D - 1, 3)):
+                y[d] = Fraction(rng.randint(-9, 9), rng.choice([1, 4, 7, 10]))
+            # x0 carries a nonzero top coefficient, which no step may change
+            x0 = {0: Fraction(rng.choice([1, 3, -2]), rng.choice([1, 2])), D: Fraction(rng.randint(1, 9), 7)}
+            if rng.random() < 0.5:
+                x0[rng.randint(1, D - 1)] = Fraction(rng.randint(-5, 5), 3)
+            radius = rng.choice([0.5, 0.5, 0.2, 0.9, 1.7])
+            yield y, x0, D, rng.randint(1, 8), defect, radius
+    yield {1: -1}, {0: 1}, 12, 4, 0, 0.5  # x_0 reaches zero at step 1: singular
+    yield {1: -1, 3: Fraction(1, 5)}, {0: 1}, 12, 4, 1, 0.5
+    for x0 in (Fraction(10**200), Fraction(1, 10**200)):  # norms past the float range
+        yield {1: 1, 2: Fraction(1, 10)}, {0: x0}, 10, 2, 0, 0.5
+        yield {1: 1, 2: Fraction(1, 10)}, {0: x0}, 10, 2, 2, 0.5
+
+
+def test_integer_newton_matches_fraction_newton():
+    verdicts = set()
+    for y, x0, D, steps, defect, radius in _newton_cases(random.Random(808)):
+        ys, xs = TruncatedPowerSeries.from_dict(y, D), TruncatedPowerSeries.from_dict(x0, D)
+        got = run_newton(ys, xs, steps, defect, radius)
+        report, solution, valuations = fraction_newton(ys, xs, steps, defect, radius)
+        case = (y, x0, D, steps, defect, radius)
+        assert got.solution == solution, case
+        assert got.residual_valuations == valuations, case
+        # repr compares every report float exactly, nan and inf included
+        assert repr(got.report) == repr(report), case
+        verdicts.add(report.verdict)
+    assert verdicts == {"converged", "undecided", "singular"}
+
+
+def test_defect_is_its_own_product_not_the_solve(monkeypatch):
+    # a wrong solve must show in the defect and in the next residual
+    D, radius = 16, 0.5
+    y = TruncatedPowerSeries.from_dict({1: 1, 2: Fraction(1, 10), 5: Fraction(-2, 3)}, D)
+    x0 = TruncatedPowerSeries.from_dict({0: 1}, D)
+    solves = []
+
+    def off_by_one(nq, dq, nx, dx, rows, step):
+        na, da = _divide(nq, dq, nx, dx, rows, step)
+        na[3] += 1
+        solves.append(tuple(Fraction((j + 1) * a, da) for j, a in enumerate(na)) + (Fraction(0),) * (D + 1 - rows))
+        return na, da
+
+    monkeypatch.setattr(engines, "_divide", off_by_one)
+    first = newton_invert(y, x0, 1, radius).report.steps[0]
+    xi = TruncatedPowerSeries(D, "exact", solves[0])
+    residual = eps_integral_map(x0) - y
+    assert first.extras["defect_norm"] == ps_norm(residual - linearization_action(x0, xi), radius) > 0.0
+    assert first.residual == ps_norm(eps_integral_map(x0 - xi) - y, radius)
 
 
 # ---- exact mode is real-only -----------------------------------------------
