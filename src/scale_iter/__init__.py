@@ -15,7 +15,6 @@ from .bruno import (
     TameVerdict,
     a_pi,
     absorb_check,
-    bruno_transform,
     delta_search,
     is_bruno,
     is_tame,
@@ -27,7 +26,6 @@ from .factors import (
     LocalFactor,
     PerturbativeFactor,
     RadiusSchedule,
-    factor_eval,
     geometric_bound_check,
     kam_schedule_tame_check,
     perturbative_bound_check,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Protocol, Sequence, Union
+from typing import Iterable, Sequence
 
 __all__ = [
     "LOG_ZERO_FLOOR",
@@ -30,7 +30,6 @@ __all__ = [
     "APiResult",
     "PreconditionError",
     "HorizonError",
-    "bruno_transform",
     "log_bruno_transform",
     "a_pi",
     "is_bruno",
@@ -39,7 +38,6 @@ __all__ = [
     "is_tame",
     "mixed_orbit",
     "delta_search",
-    "as_log_sequence",
     "sequence_from_spec",
 ]
 
@@ -47,6 +45,14 @@ __all__ = [
 # ceiling past which it counts as diverged.  Both live in log scale.
 LOG_ZERO_FLOOR = math.log(1e-300)
 LOG_OVERFLOW_CEILING = math.log(1e300)
+
+# Tail below which a phase counts as summable (is_bruno), trailing window of
+# the a_pi Cauchy test, log-domain slack of the tameness scan, and the number
+# of bisection steps of delta_search.
+BRUNO_TAIL_TOL = 0.5
+A_PI_WINDOW = 8
+TAME_SLACK = 1e-9
+DELTA_BISECTIONS = 60
 
 _LOG2 = math.log(2.0)
 
@@ -76,15 +82,6 @@ def _safe_exp(x: float) -> float:
     return math.exp(x)
 
 
-class LogSequenceLike(Protocol):
-    """Positive sequence exposed through natural logs of its terms."""
-
-    @property
-    def horizon(self) -> int: ...
-
-    def log_term(self, n: int) -> float: ...
-
-
 @dataclass(frozen=True)
 class LogSequence:
     """Explicit positive sequence stored by the logs of its terms."""
@@ -99,9 +96,6 @@ class LogSequence:
         if not 0 <= n < len(self.log_terms):
             raise HorizonError(f"index {n} beyond horizon {self.horizon}")
         return self.log_terms[n]
-
-    def term(self, n: int) -> float:
-        return _safe_exp(self.log_term(n))
 
 
 @dataclass(frozen=True)
@@ -141,11 +135,8 @@ class BrunoSequence:
             raise HorizonError(f"index {n} beyond horizon {self.horizon}")
         return self.sign * math.ldexp(self.phases[n], n)
 
-    def term(self, n: int) -> float:
-        return _safe_exp(self.log_term(n))
-
-    def is_bruno(self, horizon: int | None = None, tol: float = 0.5) -> bool:
-        return is_bruno(self, self.horizon if horizon is None else horizon, tol)
+    def is_bruno(self, horizon: int | None = None) -> bool:
+        return is_bruno(self, self.horizon if horizon is None else horizon)
 
     # ---- constructors -------------------------------------------------
 
@@ -205,22 +196,6 @@ class BrunoSequence:
         return cls(sign, tuple(math.ldexp(abs(l), -n) for n, l in enumerate(logs)))
 
 
-SequenceLike = Union[BrunoSequence, LogSequence, Sequence[float]]
-
-
-def as_log_sequence(seq: SequenceLike) -> LogSequenceLike:
-    """Coerce to a log-domain sequence.
-
-    Plain numeric sequences are interpreted as linear-scale terms; anything
-    already exposing log_term is passed through.
-    """
-    if isinstance(seq, (BrunoSequence, LogSequence)):
-        return seq
-    if hasattr(seq, "log_term") and hasattr(seq, "horizon"):
-        return seq  # type: ignore[return-value]
-    return LogSequence(tuple(math.log(float(v)) for v in seq))
-
-
 # ---------------------------------------------------------------------------
 # Bruno transform and summability
 # ---------------------------------------------------------------------------
@@ -235,15 +210,6 @@ def log_bruno_transform(a: BrunoSequence, n: int) -> float:
     return a.sign * 0.5 * math.fsum(a.phases[: n + 1])
 
 
-def bruno_transform(a: BrunoSequence, n: int) -> float:
-    """n-th partial product of the Bruno transform, in linear scale.
-
-    Monotone in n for fixed sign: nondecreasing for positive phase,
-    nonincreasing for negative phase.
-    """
-    return _safe_exp(log_bruno_transform(a, n))
-
-
 @dataclass(frozen=True)
 class APiResult:
     limit: float
@@ -251,34 +217,35 @@ class APiResult:
     converged: bool
 
 
-def a_pi(a: BrunoSequence, tol: float = 1e-12, window: int = 8) -> APiResult:
+def a_pi(a: BrunoSequence, tol: float = 1e-12) -> APiResult:
     """Transform limit with a trailing-window Cauchy test in log scale.
 
     Successive partial log-products differ by u_n / 2; convergence requires
-    every difference over the trailing window to stay below tol.
+    every difference over the trailing A_PI_WINDOW to stay below tol.
     """
     if tol <= 0.0:
         raise PreconditionError("tol must be positive")
     h = a.horizon
-    w = min(window, h) if h > 0 else 0
+    w = min(A_PI_WINDOW, h) if h > 0 else 0
     diffs = [a.phases[n] / 2.0 for n in range(h - w + 1, h + 1)]
     converged = bool(diffs) and all(d < tol for d in diffs)
     log_limit = log_bruno_transform(a, h)
     return APiResult(_safe_exp(log_limit), log_limit, converged)
 
 
-def is_bruno(a: BrunoSequence, horizon: int, tol: float = 0.5) -> bool:
+def is_bruno(a: BrunoSequence, horizon: int) -> bool:
     """Summability probe: tail of the phase over the last half of the window.
 
     The boundary phase u_n = 1/n has tail log 2 ~ 0.69 at every horizon, so
-    any tol below that separates summable from non-summable at desk scale.
+    BRUNO_TAIL_TOL below that separates summable from non-summable at desk
+    scale.
     """
     if horizon < 2:
         raise PreconditionError("horizon must be >= 2")
     if horizon > a.horizon:
         raise HorizonError(f"horizon {horizon} beyond materialized {a.horizon}")
     tail = math.fsum(a.phases[horizon // 2 : horizon + 1])
-    return tail < tol
+    return tail < BRUNO_TAIL_TOL
 
 
 @dataclass(frozen=True)
@@ -406,36 +373,35 @@ class TameVerdict:
     violations: tuple[tuple[int, str], ...] = ()
 
 
-def is_tame(a: SequenceLike, b: SequenceLike, horizon: int, slack: float = 1e-9) -> TameVerdict:
+def is_tame(a: BrunoSequence | LogSequence, b: BrunoSequence | LogSequence, horizon: int) -> TameVerdict:
     """Find the least N with a_n b_n^2 <= b_(n+1) for every n in [N, horizon).
 
     Precondition violations (a_n < 1, b_n > 1, b increasing) are reported
     per-index rather than raised, since evaluated bound pairs routinely break
     them at early indices while still being tame from some N on.  Comparisons
-    are log-domain with a small slack so exact equality cases count as tame.
+    are log-domain with the small TAME_SLACK so exact equality cases count as
+    tame.
     """
-    la = as_log_sequence(a)
-    lb = as_log_sequence(b)
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1")
-    if la.horizon < horizon - 1 or lb.horizon < horizon:
+    if a.horizon < horizon - 1 or b.horizon < horizon:
         raise HorizonError("sequences shorter than requested horizon")
 
     violations: list[tuple[int, str]] = []
     for n in range(horizon):
-        if la.log_term(n) < -slack:
+        if a.log_term(n) < -TAME_SLACK:
             violations.append((n, "a term below 1"))
     for n in range(horizon + 1):
-        if lb.log_term(n) > slack:
+        if b.log_term(n) > TAME_SLACK:
             violations.append((n, "b term above 1"))
-        if n >= 1 and lb.log_term(n) > lb.log_term(n - 1) + slack:
+        if n >= 1 and b.log_term(n) > b.log_term(n - 1) + TAME_SLACK:
             violations.append((n, "b not decreasing"))
 
     flags = []
     for n in range(horizon):
-        lhs = la.log_term(n) + 2.0 * lb.log_term(n)
-        rhs = lb.log_term(n + 1)
-        flags.append(lhs <= rhs + slack * (1.0 + abs(rhs)))
+        lhs = a.log_term(n) + 2.0 * b.log_term(n)
+        rhs = b.log_term(n + 1)
+        flags.append(lhs <= rhs + TAME_SLACK * (1.0 + abs(rhs)))
 
     N: int | None = None
     ok_from_here = True
@@ -447,8 +413,8 @@ def is_tame(a: SequenceLike, b: SequenceLike, horizon: int, slack: float = 1e-9)
 
 
 def mixed_orbit(
-    a: SequenceLike,
-    b: SequenceLike,
+    a: BrunoSequence | LogSequence,
+    b: BrunoSequence | LogSequence,
     x0: float,
     steps: int,
     require_tame: bool = True,
@@ -460,8 +426,6 @@ def mixed_orbit(
     """
     if x0 < 0.0:
         raise PreconditionError("x0 must be >= 0")
-    la = as_log_sequence(a)
-    lb = as_log_sequence(b)
     notes: tuple[str, ...] = ()
     if require_tame:
         verdict = is_tame(a, b, steps)
@@ -476,7 +440,7 @@ def mixed_orbit(
     failed_at: int | None = None
     for n in range(steps):
         lx = log_values[-1]
-        nxt = log_half + _logaddexp(la.log_term(n) + 2.0 * lx, lb.log_term(n) + lx)
+        nxt = log_half + _logaddexp(a.log_term(n) + 2.0 * lx, b.log_term(n) + lx)
         log_values.append(nxt)
         if nxt > LOG_OVERFLOW_CEILING:
             verdict_str = "diverged"
@@ -488,7 +452,7 @@ def mixed_orbit(
 
     flags = [True]
     for n in range(1, len(log_values)):
-        flags.append(log_values[n] <= lb.log_term(n) + log_values[n - 1] + 1e-12)
+        flags.append(log_values[n] <= b.log_term(n) + log_values[n - 1] + 1e-12)
 
     values = tuple(_safe_exp(l) for l in log_values)
     ratios = tuple(
@@ -498,12 +462,12 @@ def mixed_orbit(
     return OrbitTrace(values, tuple(log_values), ratios, tuple(flags), verdict_str, failed_at, notes)
 
 
-def delta_search(a: SequenceLike, b: SequenceLike, steps: int, iterations: int = 60) -> float:
+def delta_search(a: BrunoSequence | LogSequence, b: BrunoSequence | LogSequence, steps: int) -> float:
     """Bisect the largest x0 in [0, 1] whose mixed orbit keeps every flag true.
 
     Each flag is a monotone predicate of x0, so the feasible set is an
     interval [0, delta] and bisection is sound.  Returns the last feasible
-    lower endpoint after the given number of iterations.
+    lower endpoint after DELTA_BISECTIONS halvings.
     """
 
     def feasible(x0: float) -> bool:
@@ -512,7 +476,7 @@ def delta_search(a: SequenceLike, b: SequenceLike, steps: int, iterations: int =
     if feasible(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(iterations):
+    for _ in range(DELTA_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

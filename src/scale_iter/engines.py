@@ -9,6 +9,9 @@ Exact Newton runs on integers: X = integral(x) and Q = X^2/2 - integral(y)
 are numerators over one denominator each, the residual is Q', the
 correction Xi = integral(xi) is the division Q / X with one Fraction per
 row, and a step updates Q by (Q - X Xi) + Xi^2/2 without re-squaring X.
+That state is the only place the (X^2/2)' and (X Xi)' forms are computed;
+eps_integral_map and linearization_action take the two-product forms
+x * integral(x) and x * integral(xi) + xi * integral(x) in both modes.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .series import (
     _cauchy_square,
     _common_denominator,
     _integral_numerators,
-    _integral_product_derivative,
     _numerator_norm,
     linearization_action,
     ps_antiderive,
@@ -76,6 +78,7 @@ __all__ = [
 
 CAUCHY_TOL = 1e-12
 CAUCHY_WINDOW = 4
+MORSE_INNER, MORSE_OUTER = 0.4, 0.5  # the radii a Morse step is measured between
 
 
 class SingularLinearizationError(RuntimeError):
@@ -155,10 +158,10 @@ class IterationReport:
     meta: dict = field(default_factory=dict)
 
 
-def _verdict_from_steps(norms: Sequence[float], tol: float = CAUCHY_TOL) -> str:
+def _verdict_from_steps(norms: Sequence[float]) -> str:
     if any(math.isnan(x) or math.isinf(x) for x in norms):
         return "diverged"
-    if len(norms) >= CAUCHY_WINDOW and math.fsum(norms[-CAUCHY_WINDOW:]) < tol:
+    if len(norms) >= CAUCHY_WINDOW and math.fsum(norms[-CAUCHY_WINDOW:]) < CAUCHY_TOL:
         return "converged"
     return "undecided"
 
@@ -215,12 +218,7 @@ def _morse_remainder(f: TruncatedPowerSeries) -> TruncatedPowerSeries:
     return f - quad
 
 
-def morse_run(
-    f0: TruncatedPowerSeries,
-    steps: int,
-    norm_inner: float = 0.4,
-    norm_outer: float = 0.5,
-) -> MorseResult:
+def morse_run(f0: TruncatedPowerSeries, steps: int) -> MorseResult:
     """Quadratic normal-form iteration for f = x^2/2 + R, valuation(R) >= 3.
 
     At step n the first 2^n remainder terms are divided by x, negated, and
@@ -263,15 +261,15 @@ def morse_run(
             )
 
         diff = f_next - f
-        decay = (norm_inner / norm_outer) ** (2**n + 2)
-        diff_outer = ps_norm(diff, norm_outer)
+        bound = (MORSE_INNER / MORSE_OUTER) ** (2**n + 2) * ps_norm(diff, MORSE_OUTER)
+        step_norm = ps_norm(diff, MORSE_INNER)
         record = StepRecord(
             n=n,
-            s=norm_inner,
-            step_norm=ps_norm(diff, norm_inner),
-            residual=ps_norm(new_remainder, norm_inner),
-            bound=decay * diff_outer,
-            bound_ok=ps_norm(diff, norm_inner) <= decay * diff_outer * (1.0 + 1e-9),
+            s=MORSE_INNER,
+            step_norm=step_norm,
+            residual=ps_norm(new_remainder, MORSE_INNER),
+            bound=bound,
+            bound_ok=step_norm <= bound * (1.0 + 1e-9),
             extras={"valuation": new_remainder.valuation},
         )
         records.append(record)
@@ -384,13 +382,7 @@ def circle_run(
 
 
 def eps_integral_map(x: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """The model map x -> x * integral(x); lands in series of valuation >= 1.
-
-    Exact series take it as (integral(x)^2 / 2)', half of the linearization
-    kernel at xi = x.
-    """
-    if x.mode == "exact":
-        return _integral_product_derivative(x, x, 2)
+    """The model map x -> x * integral(x); lands in series of valuation >= 1."""
     integral, _ = ps_antiderive(x)
     return ps_mul(x, integral)
 
@@ -402,11 +394,12 @@ def _solve_linearization(
 
     Row m + 1 determines xi_m with diagonal x_0 (m+2)/(m+1); the drop_top
     highest rows can be discarded to produce a deliberately approximate
-    inverse.  Exact runs divide on integers instead (_divide).
+    inverse.  Exact runs divide on integers instead (_divide).  The map is
+    homogeneous, so only an exactly zero x_0 is singular, as in _divide.
     """
     D = x.truncation
     x0 = x.coefficients[0]
-    if abs(x0) < 1e-12:
+    if x0 == 0:
         raise SingularLinearizationError(step)
 
     xi = [0j] * (D + 1)

@@ -42,17 +42,16 @@ __all__ = [
     "RadiusSchedule",
     "ScheduleError",
     "schedule_build",
-    "factor_eval",
     "geometric_bound_check",
     "rho_for_perturbative",
     "perturbative_bound_check",
-    "perturbative_majorant_check",
     "perturbative_radius_search",
     "kam_schedule_tame_check",
     "factor_from_spec",
 ]
 
 _LOG2 = math.log(2.0)
+RHO_CLIP = 0.49  # rho_for_perturbative caps each driver term here, strictly below 1/2
 
 
 class ScheduleError(ValueError):
@@ -160,17 +159,6 @@ class KamFactor:
 FactorLike = Union[LocalFactor, PerturbativeFactor, KamFactor]
 
 
-def factor_eval(f: FactorLike, n: int, s: float, t: float):
-    """Natural log of the factor value at (s inner, t outer); a pair for KAM factors."""
-    if isinstance(f, LocalFactor):
-        return f.log_eval(s, t)
-    if isinstance(f, PerturbativeFactor):
-        return f.log_eval(n, s, t)
-    if isinstance(f, KamFactor):
-        return f.log_eval(n, s, t)
-    raise PreconditionError(f"not a factor: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # Radius schedules
 # ---------------------------------------------------------------------------
@@ -217,7 +205,6 @@ def schedule_build(
     rho: BrunoSequence,
     steps: int,
     exponent_shift: int = 1,
-    bruno_tol: float = 0.5,
 ) -> RadiusSchedule:
     """Materialize the schedule; rejects rho terms >= 1/2 and non-Bruno phases."""
     if t <= 0.0:
@@ -232,7 +219,7 @@ def schedule_build(
     for n in range(steps):
         if math.ldexp(phases[n], n) <= _LOG2 * (1.0 - 1e-12):
             raise ScheduleError(f"rho term at {n} is >= 1/2; the schedule requires rho < 1/2")
-    if rho.horizon >= 2 and not is_bruno(rho, rho.horizon, bruno_tol):
+    if rho.horizon >= 2 and not is_bruno(rho, rho.horizon):
         raise ScheduleError("rho fails the summability test; schedule would collapse")
 
     logs = [math.log(t)]
@@ -274,19 +261,15 @@ def geometric_bound_check(f: LocalFactor, sched: RadiusSchedule) -> GeometricBou
     return GeometricBoundReport(tuple(log_values), tuple(log_bounds), tuple(flags))
 
 
-def rho_for_perturbative(
-    f: PerturbativeFactor, b: BrunoSequence, clip: float = 0.49
-) -> BrunoSequence:
-    """Schedule driver rho_n = 2^(-gap*(n+1)-n) * gain_n^-1 * b_n, clipped below 1/2.
+def rho_for_perturbative(f: PerturbativeFactor, b: BrunoSequence) -> BrunoSequence:
+    """Schedule driver rho_n = 2^(-gap*(n+1)-n) * gain_n^-1 * b_n, clipped to RHO_CLIP.
 
     The result is negative-phase and Bruno whenever the inputs are: its phase
     is the sum of both input phases plus a summable (gap*(n+1)+n)/2^n tail.
     """
     if b.sign != -1 and any(u > 0.0 for u in b.phases):
         raise PreconditionError("target decay sequence must be negative-phase")
-    if not (0.0 < clip < 0.5):
-        raise PreconditionError("clip must sit strictly inside (0, 1/2)")
-    log_clip = math.log(clip)
+    log_clip = math.log(RHO_CLIP)
     phases = []
     for n in range(b.horizon + 1):
         log_rho = -(f.gap_exponent * (n + 1) + n) * _LOG2 - f.gain.log_term(n) + b.log_term(n)
@@ -332,19 +315,6 @@ def perturbative_bound_check(
         if ok:
             N = n
     return PerturbativeBoundReport(N, tuple(flags), tuple(log_lambda), tuple(log_b))
-
-
-def perturbative_majorant_check(
-    f: PerturbativeFactor, b: BrunoSequence, sched: RadiusSchedule, horizon: int
-) -> tuple[bool, ...]:
-    """Pointwise check of the proof majorant lam_n <= s_inf^-(a+b) 2^-n b_n."""
-    power = f.inner_exponent + f.gap_exponent
-    flags = []
-    for n in range(horizon + 1):
-        lv = f.log_eval(n, math.exp(sched.log_radii[n + 1]), math.exp(sched.log_radii[n]))
-        lb = -power * sched.log_s_inf - n * _LOG2 + b.log_term(n)
-        flags.append(lv <= lb + 1e-9 * (1.0 + abs(lb)))
-    return tuple(flags)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 
+MEAN_TOL = 1e-12  # relative size of a mean that solve_homological still treats as zero
+
+
 class MeanObstructionError(ValueError):
     """The constant harmonic cannot be removed by a homological solve."""
 
@@ -74,16 +77,6 @@ class _TrigData:
         if abs(k) > self.cap:
             return 0j
         return complex(self.data[k + self.cap])
-
-    @property
-    def is_real(self) -> bool:
-        """Conjugate symmetry c_(-k) = conj(c_k) up to roundoff."""
-        scale = float(np.max(np.abs(self.data))) or 1.0
-        return bool(np.allclose(self.data[::-1].conj(), self.data, atol=1e-12 * scale, rtol=0.0))
-
-    @classmethod
-    def zero(cls, cap: int):
-        return cls(cap, np.zeros(2 * cap + 1, dtype=complex))
 
     @classmethod
     def from_coefficients(cls, entries: dict[int, complex], cap: int):
@@ -149,18 +142,17 @@ def lie_derivative_oneform(v: CircleVectorField, w: FourierOneForm) -> FourierOn
     return FourierOneForm(w.cap, product * (1j * np.arange(-w.cap, w.cap + 1)))
 
 
-def solve_homological(
-    beta: FourierOneForm, cutoff: int, mean_tol: float = 1e-12
-) -> CircleVectorField:
+def solve_homological(beta: FourierOneForm, cutoff: int) -> CircleVectorField:
     """Field v with L_v dtheta + P_cutoff beta = 0, i.e. f_k = -beta_k / (ik).
 
-    Only harmonics 1 <= |k| <= cutoff are used.  A nonzero mean is a genuine
-    obstruction: the constant harmonic has no primitive on the circle.
+    Only harmonics 1 <= |k| <= cutoff are used.  A mean above MEAN_TOL times
+    the largest coefficient is a genuine obstruction: the constant harmonic
+    has no primitive on the circle.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     scale = float(np.max(np.abs(beta.data))) or 1.0
-    if abs(beta.coefficient(0)) > mean_tol * scale:
+    if abs(beta.coefficient(0)) > MEAN_TOL * scale:
         raise MeanObstructionError(
             f"mean coefficient {beta.coefficient(0)!r} cannot be eliminated"
         )

@@ -3,14 +3,13 @@
 Series live in the quotient ring C[z]/(z^(D+1)) for a fixed truncation D.
 Exact mode stores real coefficients as Fractions so golden computations are
 reproducible bit for bit; its Cauchy product runs on integer numerators over
-one common denominator, and its linearization_action is the product rule
-(integral(eps) * integral(xi))' on the integer numerators of the two
-integrals.  Float mode stores complex doubles.  The disk norm is the
-coefficient majorant sum |c_k| t^k, which dominates the true sup on the
-disk of radius t.  The Lie
-exponential of a derivation g d/dz with valuation(g) at least 2 terminates
-exactly at the truncation, which is what makes the normal-form eliminations
-below golden-testable.
+one common denominator.  Float mode stores complex doubles.  The disk norm
+is the coefficient majorant sum |c_k| t^k, which dominates the true sup on
+the disk of radius t.  The Lie exponential of a derivation g d/dz with
+valuation(g) at least 2 terminates exactly at the truncation, which is what
+makes the normal-form eliminations below golden-testable.  The exact Newton
+kernel in engines keeps its own integer state and reuses the integer
+helpers here; linearization_action is the two-product form in both modes.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ __all__ = [
     "ps_lie_exp",
     "ps_norm",
     "linearization_action",
-    "series_to_json",
-    "series_from_json",
 ]
 
 
@@ -56,17 +53,6 @@ class GeneratorValuationError(ValueError):
 Coeff = Union[Fraction, complex]
 
 _F0 = Fraction(0)
-
-
-def _to_exact(value) -> Fraction:
-    """Real rational from a number, a complex or a (real, imaginary) pair."""
-    if isinstance(value, complex):
-        value = (value.real, value.imag)
-    if isinstance(value, tuple):
-        value, imag = value
-        if Fraction(imag) != 0:
-            raise ValueError(f"exact mode is real-only; imaginary part {imag} is not 0")
-    return Fraction(value)
 
 
 def _c_scale(a: Coeff, q: Fraction, mode: str) -> Coeff:
@@ -151,7 +137,7 @@ class TruncatedPowerSeries:
         for deg, val in entries.items():
             if not 0 <= deg <= truncation:
                 raise ValueError(f"degree {deg} outside truncation {truncation}")
-            coeffs[deg] = _to_exact(val) if mode == "exact" else complex(val)  # type: ignore[arg-type]
+            coeffs[deg] = Fraction(val) if mode == "exact" else complex(val)  # type: ignore[arg-type]
         return cls(truncation, mode, tuple(coeffs))
 
     @classmethod
@@ -167,11 +153,6 @@ class TruncatedPowerSeries:
             if c:
                 return k
         return self.truncation + 1
-
-    def coefficient(self, k: int) -> Coeff:
-        if not 0 <= k <= self.truncation:
-            raise ValueError(f"degree {k} outside truncation {self.truncation}")
-        return self.coefficients[k]
 
     def real_coefficient(self, k: int) -> Fraction:
         """An exact coefficient, as a Fraction."""
@@ -191,25 +172,7 @@ class TruncatedPowerSeries:
             tuple(complex(float(c)) for c in self.coefficients),
         )
 
-    def retruncate(self, truncation: int) -> "TruncatedPowerSeries":
-        if truncation >= self.truncation:
-            pad = TruncatedPowerSeries.zero(truncation, self.mode).coefficients[
-                : truncation - self.truncation
-            ]
-            return TruncatedPowerSeries(truncation, self.mode, self.coefficients + pad)
-        return TruncatedPowerSeries(truncation, self.mode, self.coefficients[: truncation + 1])
-
-    def eval_at(self, z: complex) -> complex:
-        """Horner evaluation after float conversion."""
-        acc = 0j
-        for c in reversed(self.to_float().coefficients):
-            acc = acc * z + c
-        return acc
-
     # ---- operators -----------------------------------------------------
-
-    def __add__(self, other):
-        return ps_add(self, other)
 
     def __sub__(self, other):
         _check_compatible(self, other)
@@ -221,9 +184,6 @@ class TruncatedPowerSeries:
 
     def __neg__(self):
         return TruncatedPowerSeries(self.truncation, self.mode, tuple(-c for c in self.coefficients))
-
-    def __mul__(self, other):
-        return ps_mul(self, other)
 
 
 def _check_compatible(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> None:
@@ -345,50 +305,21 @@ def linearization_action(
 
     Acts as xi -> eps * integral(xi) + xi * integral(eps); at eps = 1 it
     sends z^k to (k+2)/(k+1) z^(k+1), which is triangular on monomials.
-    Exact operands take the product rule (integral(eps) * integral(xi))'.
     """
-    _check_compatible(eps, xi)
-    if eps.mode == "exact":
-        return _integral_product_derivative(eps, xi)
     int_xi, _ = ps_antiderive(xi)
     int_eps, _ = ps_antiderive(eps)
     return ps_add(ps_mul(eps, int_xi), ps_mul(xi, int_eps))
 
 
-def _integral_product_derivative(
-    f: TruncatedPowerSeries, g: TruncatedPowerSeries, den: int = 1
-) -> TruncatedPowerSeries:
-    """(integral(f) * integral(g))' / den for exact operands, on integer numerators.
+def ps_norm(f: TruncatedPowerSeries, t: float) -> float:
+    """Coefficient majorant sum |c_k| t^k, an upper bound for the sup over the closed disk.
 
-    This is f * integral(g) + g * integral(f), and it is exact in the
-    truncated ring: the degree-D+1 term each integral leaves out meets the
-    other integral, of valuation >= 1, at degree D + 2 or above, whose
-    derivative lies past the truncation.  Entry m of the numerator product
-    sits at degree m + 2 and lands at degree m + 1 with weight m + 2.
-    """
-    D = f.truncation
-    nf, df = _integral_numerators(f)
-    if g is f:
-        den *= df * df
-        product = _cauchy_square(nf, D - 1)
-    else:
-        ng, dg = _integral_numerators(g)
-        den *= df * dg
-        product = _cauchy(nf, ng, D - 1, 0)
-    return TruncatedPowerSeries(
-        D, "exact", (_F0, *(Fraction((m + 2) * n, den) if n else _F0 for m, n in enumerate(product)))
-    )
-
-
-def ps_norm(f: TruncatedPowerSeries, t: float, mode: str = "sup-bound") -> float:
-    """Coefficient majorant sum |c_k| t^k ('sup-bound'), an upper bound for the sup over the closed disk.
-
-    An exact coefficient past the float range sends the sum to the log domain.
+    Zero coefficients form no t^k, so only a nonzero term can leave the float
+    range; an exact coefficient past the float range sends the sum to the log
+    domain.
     """
     if t <= 0.0:
         raise ValueError("radius must be positive")
-    if mode != "sup-bound":
-        raise ValueError(f"unknown norm mode {mode!r}")
     if f.mode == "exact":  # float first: the same value, without an abs Fraction
         try:
             mags = [abs(float(c)) for c in f.coefficients]
@@ -396,7 +327,7 @@ def ps_norm(f: TruncatedPowerSeries, t: float, mode: str = "sup-bound") -> float
             return _log_domain_norm(f.coefficients, t)
     else:
         mags = [abs(c) for c in f.coefficients]
-    return math.fsum(m * t**k for k, m in enumerate(mags))
+    return math.fsum(m * t**k for k, m in enumerate(mags) if m)
 
 
 def _numerator_norm(nums: list[int], den: int, t: float) -> float:
@@ -411,7 +342,7 @@ def _numerator_norm(nums: list[int], den: int, t: float) -> float:
         mags = [abs(n / den) for n in nums]
     except OverflowError:
         return _log_domain_norm([Fraction(n, den) for n in nums], t)
-    return math.fsum(m * t**k for k, m in enumerate(mags))
+    return math.fsum(m * t**k for k, m in enumerate(mags) if m)
 
 
 def _log_domain_norm(coeffs, t: float) -> float:
@@ -428,38 +359,3 @@ def _log_domain_norm(coeffs, t: float) -> float:
         return math.exp(top + math.log(math.fsum(math.exp(x - top) for x in terms)))
     except OverflowError:
         return math.inf
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-# ---------------------------------------------------------------------------
-
-
-def series_to_json(f: TruncatedPowerSeries) -> dict:
-    if f.mode == "exact":
-        coeffs = [[str(c), "0"] for c in f.coefficients]
-    else:
-        coeffs = [[c.real, c.imag] for c in f.coefficients]
-    return {
-        "schema": "series.v1",
-        "truncation": f.truncation,
-        "mode": f.mode,
-        "coefficients": coeffs,
-    }
-
-
-def series_from_json(doc: dict) -> TruncatedPowerSeries:
-    if doc.get("schema") != "series.v1":
-        raise ValueError("not a series.v1 document")
-    D = int(doc["truncation"])
-    mode = doc["mode"]
-    raw = doc["coefficients"]
-    if len(raw) != D + 1:
-        raise ValueError("coefficient count does not match truncation")
-    if mode == "exact":
-        coeffs = tuple(_to_exact((re, im)) for re, im in raw)
-    elif mode == "float":
-        coeffs = tuple(complex(float(re), float(im)) for re, im in raw)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return TruncatedPowerSeries(D, mode, coeffs)

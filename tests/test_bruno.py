@@ -12,7 +12,6 @@ from scale_iter.bruno import (
     PreconditionError,
     a_pi,
     absorb_check,
-    bruno_transform,
     delta_search,
     is_bruno,
     is_tame,
@@ -27,15 +26,15 @@ H = 48
 
 def test_transform_identity_case():
     ones = BrunoSequence.constant(1.0, H)
-    assert bruno_transform(ones, 10) == 1.0
+    assert log_bruno_transform(ones, 10) == 0.0
 
 
 def test_transform_constant_four_closed_form():
     # prod_{k<=n} 4^(1/2^(k+1)) = 4^(1 - 2^-(n+1))
     a4 = BrunoSequence.constant(4.0, H)
-    assert bruno_transform(a4, 1) == pytest.approx(4.0 ** 0.75, rel=1e-14)
+    assert math.exp(log_bruno_transform(a4, 1)) == pytest.approx(4.0 ** 0.75, rel=1e-14)
     for n in (0, 3, 7):
-        assert bruno_transform(a4, n) == pytest.approx(4.0 ** (1 - 2.0 ** -(n + 1)), rel=1e-14)
+        assert math.exp(log_bruno_transform(a4, n)) == pytest.approx(4.0 ** (1 - 2.0 ** -(n + 1)), rel=1e-14)
 
 
 def test_transform_divergent_phase_partial_products():
@@ -48,15 +47,15 @@ def test_transform_divergent_phase_partial_products():
 def test_transform_monotone_in_n():
     up = BrunoSequence.constant(3.0, 20)
     down = BrunoSequence.constant(0.3, 20)
-    ups = [bruno_transform(up, n) for n in range(20)]
-    downs = [bruno_transform(down, n) for n in range(20)]
+    ups = [log_bruno_transform(up, n) for n in range(20)]
+    downs = [log_bruno_transform(down, n) for n in range(20)]
     assert all(x <= y for x, y in zip(ups, ups[1:]))
     assert all(x >= y for x, y in zip(downs, downs[1:]))
 
 
 def test_transform_horizon_guard():
     with pytest.raises(HorizonError):
-        bruno_transform(BrunoSequence.constant(2.0, 4), 5)
+        log_bruno_transform(BrunoSequence.constant(2.0, 4), 5)
 
 
 def test_a_pi_results():
@@ -221,12 +220,12 @@ def test_sequence_spec_round_trip():
 
 
 def test_sequence_spec_kinds_and_rejection():
-    assert sequence_from_spec({"kind": "constant", "value": 2.0}, 8).term(3) == pytest.approx(2.0)
-    assert sequence_from_spec({"kind": "geometric", "ratio": 3.0}, 8).term(2) == pytest.approx(9.0)
+    assert sequence_from_spec({"kind": "constant", "value": 2.0}, 8).log_term(3) == pytest.approx(math.log(2.0))
+    assert sequence_from_spec({"kind": "geometric", "ratio": 3.0}, 8).log_term(2) == pytest.approx(math.log(9.0))
     s = sequence_from_spec({"kind": "phase-power", "exponent": 2.0, "sign": "-"}, 8)
     assert s.phase(3) == pytest.approx(1.0 / 9.0)
     e = sequence_from_spec({"kind": "explicit", "terms": [1.0, 2.0, 4.0]}, 2)
-    assert e.term(2) == pytest.approx(4.0)
+    assert e.log_term(2) == pytest.approx(math.log(4.0))
     lg = sequence_from_spec({"kind": "explicit", "log_terms": [0.0, -1.0, -4.0]}, 2)
     assert lg.log_term(2) == pytest.approx(-4.0)
     with pytest.raises(PreconditionError):
@@ -250,7 +249,7 @@ def test_sequence_spec_kinds_and_rejection():
 def test_log_sequence_wrapper():
     seq = LogSequence((0.0, -1.0, -2.0))
     assert seq.horizon == 2
-    assert seq.term(1) == pytest.approx(math.exp(-1.0))
+    assert seq.log_term(1) == -1.0
     with pytest.raises(HorizonError):
         seq.log_term(3)
 

@@ -394,6 +394,38 @@ def test_exact_newton_past_the_float_range_of_the_squared_residual_norm(capsys):
     assert all(math.isfinite(r["extras"]["defect_ratio"]) for r in report["steps"])
 
 
+def test_newton_norms_form_no_power_for_a_zero_coefficient(capsys):
+    # x0 = 1 solves y = z at step 0, so the residual is zero; its norm forms
+    # no t^k, however far t^truncation lies past the float range
+    base = {"command": "newton", "y": {"1": "1"}, "steps": 5}
+    for extra in (
+        {"truncation": 40, "norm_radius": 1e10},
+        {"truncation": 400, "norm_radius": 20},
+        {"truncation": 40, "norm_radius": 1e10, "mode": "float"},
+    ):
+        assert cli.run({**base, **extra}) == 0, extra
+        captured = capsys.readouterr()
+        assert captured.err == "", extra
+        assert json.loads(captured.out)["report"]["verdict"] == "converged", extra
+
+
+def test_float_newton_tiny_constant_term_is_not_singular(capsys):
+    # x -> x * integral(x) is homogeneous, so the float solve, like the exact
+    # one, is singular only at x_0 = 0; this is the x_0 = 1 run scaled by 1e-13
+    cfg = {
+        "command": "newton",
+        "mode": "float",
+        "x0": {"0": "1e-13"},
+        "y": {"1": "1e-26", "2": "1e-27"},
+        "truncation": 16,
+        "steps": 6,
+    }
+    assert cli.run(cfg) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["verdict"] == "converged"
+    assert "failed_step" not in report["meta"]
+
+
 def test_kam_drive_steps_ceiling(capsys):
     # the tameness check reads 2^steps, a finite float up to steps 1023
     cfg = {"command": "drive", "kind": "kam", "steps": cli.MAX_KAM_STEPS}
@@ -514,7 +546,7 @@ def test_short_sequences_rejected_at_the_last_index_each_engine_reads():
     ]
 
 
-def test_ceilings_reject_one_past_each_limit():
+def test_ceilings_reject_one_past_each_limit(capsys):
     over = {
         "bruno": ({"command": "bruno", "kind": "constant", "value": 0.5}, "horizon", cli.MAX_HORIZON),
         "tame": (
@@ -538,6 +570,26 @@ def test_ceilings_reject_one_past_each_limit():
     for name, (base, key, ceiling) in over.items():
         if name != "circle steps":
             assert cli.validate({**base, key: ceiling}) == [], name
+    # the cheap configs at a ceiling also run to a report.  Left out for their
+    # cost, which belongs to the integer Lie exponential (ROADMAP.md item 4):
+    # morse steps 9 (about 13 s), morse truncation 1024 (about 22 s at steps
+    # 2) and exact newton at truncation 1024 with a nontrivial y (about 4 s)
+    at_ceiling = [
+        {**over["bruno"][0], "horizon": cli.MAX_HORIZON},
+        {**over["tame"][0], "horizon": cli.MAX_HORIZON},
+        {**over["schedule"][0], "steps": cli.MAX_HORIZON},
+        {**over["drive"][0], "steps": cli.MAX_HORIZON},
+        {"command": "circle", "cap": cli.MAX_CAP, "steps": 2},
+        {"command": "circle", "cap": cli.MAX_CAP, "steps": 13},
+        {"command": "circle", "order": cli.MAX_ORDER},
+        {"command": "newton", "steps": cli.MAX_HORIZON, "y": {"1": "1", "2": "1/10"}, "truncation": 32},
+        {"command": "newton", "truncation": cli.MAX_TRUNCATION},
+    ]
+    for cfg in at_ceiling:
+        assert cli.run(cfg) in (0, 2), cfg
+        captured = capsys.readouterr()
+        assert captured.err == "", cfg
+        assert json.loads(captured.out)["command"] == cfg["command"], cfg
 
 
 def test_numbers_reject_bools_and_non_finite_values():
@@ -708,9 +760,23 @@ def test_config_seed_is_recorded_unless_overridden(capsys):
 
 
 def test_every_name_in_all_resolves():
-    # bench/spans.py wraps each module's __all__ with getattr
+    # bench/spans.py wraps each module's __all__ with getattr, patches two
+    # methods by hand through the class __dict__, and the bench imports from
+    # the package root
+    import ast
     import importlib
+    import inspect
+
+    import scale_iter
 
     for name in ("bruno", "factors", "series", "fourier", "engines", "cli"):
         module = importlib.import_module(f"scale_iter.{name}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+    tree = ast.parse(Path(scale_iter.__file__).read_text(encoding="utf-8"))
+    root_names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert [n for n in root_names if not hasattr(scale_iter, n)] == []
+    assert {"BrunoSequence", "quadratic_orbit"} <= set(root_names)  # bench/checks.py imports these
+    from scale_iter import fourier, series
+
+    assert inspect.isfunction(series.Derivation.__dict__["apply"])
+    assert isinstance(fourier._TrigData.__dict__["from_coefficients"], classmethod)

@@ -90,8 +90,8 @@ def test_morse_remainder_scale_decay():
         remainder = f - S({2: Fraction(1, 2)}, f.truncation)
         p = 2 ** (n + 1) + 2
         for s, t in ((0.3, 0.5), (0.2, 0.4)):
-            lhs = ps_norm(remainder, s, "sup-bound")
-            rhs = (s / t) ** p * ps_norm(remainder, t, "sup-bound")
+            lhs = ps_norm(remainder, s)
+            rhs = (s / t) ** p * ps_norm(remainder, t)
             assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -258,15 +258,17 @@ def test_newton_rejects_bad_inputs():
         newton_invert(S({1: 1}, 8), TruncatedPowerSeries.zero(8), 2)
 
 
-def test_newton_zero_target_hits_singular_diagonal():
-    # iterates halve the constant term toward the non-invertible locus;
-    # the driver stops once the diagonal crosses the floor
+def test_newton_zero_target_float_and_exact_agree():
+    # on y = 0 every step halves x exactly, so the residual is 4^-n z; the
+    # float solve, like the exact one, is singular only at x_0 = 0, so both
+    # runs take all 80 steps to the same converged report
     D = 16
-    res = newton_invert(
-        TruncatedPowerSeries.zero(D, "float"), start_series(D, "float"), 80
-    )
-    assert res.report.verdict == "singular"
-    assert res.report.meta["failed_step"] == 40
+    flt, exact = (newton_invert(TruncatedPowerSeries.zero(D, m), start_series(D, m), 80) for m in ("float", "exact"))
+    assert exact.report.verdict == "converged"
+    assert repr(flt.report) == repr(exact.report)
+    assert flt.residual_valuations == exact.residual_valuations
+    assert flt.solution == exact.solution.to_float()
+    assert exact.solution.coefficients[0] == Fraction(1, 2**80)
 
 
 def test_quasi_newton_zero_defect_identical():
@@ -383,12 +385,10 @@ def test_contraction_matches_decaying_orbit_short_horizon():
 
 def test_contraction_linear_scalar_model_is_factor_product():
     # x' = lam_n(s, t) x telescopes into the product of factor values
-    from scale_iter.factors import factor_eval
-
     lam = PerturbativeFactor(BrunoSequence.constant(1.0, 48), 0.0, 0.0)
 
     def linear_step(n, s, t, x):
-        return ScalarElement(math.exp(factor_eval(lam, n, s, t)) * x.value)
+        return ScalarElement(math.exp(lam.log_eval(n, s, t)) * x.value)
 
     res = contraction_run(
         linear_step, lam, BrunoSequence.constant(0.5, 48), 1.0, ScalarElement(1.0), 12
@@ -396,7 +396,7 @@ def test_contraction_linear_scalar_model_is_factor_product():
     sched = res.schedule
     acc = 0.0
     for n in range(12):
-        acc += factor_eval(lam, n, sched.radius(n + 1), sched.radius(n))
+        acc += lam.log_eval(n, sched.radius(n + 1), sched.radius(n))
         assert res.iterates[n + 1].value == pytest.approx(math.exp(acc), rel=1e-11)
 
 
@@ -434,8 +434,8 @@ def test_contraction_morse_steps_satisfy_scale_decay():
     sched = res.schedule
     for n in range(4):
         s_in, s_out = sched.radius(n + 1), sched.radius(n)
-        lhs = ps_norm(diffs[n], s_in, "sup-bound")
-        rhs = (s_in / s_out) ** (2 ** n + 2) * ps_norm(diffs[n], s_out, "sup-bound")
+        lhs = ps_norm(diffs[n], s_in)
+        rhs = (s_in / s_out) ** (2 ** n + 2) * ps_norm(diffs[n], s_out)
         assert lhs <= rhs * (1 + 1e-12)
 
 

@@ -1,11 +1,10 @@
 """Differential checks of the series and Fourier kernels against their plain-loop forms.
 
 The exact Cauchy product and the exact Newton division run on integer
-numerators over common denominators, and the exact model map x * integral(x)
-and its linearization run as the product rule on the integer numerators of
-the integrals; here they are compared with direct Fraction loops and with
-the two-product forms they replaced.  Exact Newton keeps its whole state on
-integers, so newton_invert and quasi_newton_run are compared, report float
+numerators over common denominators; here they are compared with direct
+Fraction loops, and the exact model map x * integral(x) and its
+linearization, built from ps_antiderive and ps_mul, with their two-product
+Fraction forms.  Exact Newton keeps its whole state on integers, so newton_invert and quasi_newton_run are compared, report float
 for report float, with a Fraction Newton loop built from the public
 eps_integral_map, linearization_action and ps_norm.  The float series kernels keep their
 summation order, so they are compared bit for bit with the loops they
@@ -52,8 +51,6 @@ from scale_iter.series import (
     ps_antiderive,
     ps_mul,
     ps_norm,
-    series_from_json,
-    series_to_json,
 )
 
 
@@ -197,7 +194,7 @@ def _product_rule_cases(rng):
         top = (Fraction(rng.randint(1, 60), rng.choice([1, 7, 96])),)
         yield TruncatedPowerSeries(D, "exact", x.coefficients[:D] + top), xi
         yield x, TruncatedPowerSeries(D, "exact", xi.coefficients[:D] + top)
-    for D in (1, 9, 30):  # one operand twice, which takes the symmetric square
+    for D in (1, 9, 30):  # one operand twice
         x = _random_exact(rng, D, 0.9)
         yield x, x
     for D in (0, 5, 17):  # zero operands
@@ -435,22 +432,12 @@ def test_defect_is_its_own_product_not_the_solve(monkeypatch):
 
 
 def test_exact_from_dict_rejects_imaginary_parts():
-    with pytest.raises(ValueError, match="real-only"):
-        TruncatedPowerSeries.from_dict({1: 1 + 2j}, 4)
-    with pytest.raises(ValueError, match="real-only"):
-        TruncatedPowerSeries.from_dict({1: (Fraction(1), Fraction(1, 3))}, 4)
-    f = TruncatedPowerSeries.from_dict({1: 3 + 0j, 2: (Fraction(1, 2), 0)}, 4)
-    assert f.coefficients == (0, 3, Fraction(1, 2), 0, 0)
-
-
-def test_exact_json_rejects_imaginary_parts_and_round_trips():
-    f = TruncatedPowerSeries.from_dict({0: Fraction(-7, 3), 2: Fraction(5, 11)}, 3)
-    doc = series_to_json(f)
-    assert doc["coefficients"] == [["-7/3", "0"], ["0", "0"], ["5/11", "0"], ["0", "0"]]
-    assert series_from_json(doc) == f
-    doc["coefficients"][1] = ["1", "1/2"]
-    with pytest.raises(ValueError, match="real-only"):
-        series_from_json(doc)
+    # exact from_dict takes what Fraction() takes: no complex, no (real, imag) pair
+    for value in (1 + 2j, 3 + 0j, (Fraction(1), Fraction(1, 3)), (Fraction(1, 2), 0)):
+        with pytest.raises(TypeError):
+            TruncatedPowerSeries.from_dict({1: value}, 4)
+    f = TruncatedPowerSeries.from_dict({1: 3, 2: "1/2", 3: 0.25}, 4)
+    assert f.coefficients == (0, 3, Fraction(1, 2), Fraction(1, 4), 0)
 
 
 # ---- Fourier kernels: plain references ---------------------------------------
@@ -542,7 +529,7 @@ def test_vectorised_strip_norm_matches_loop():
                 else:
                     assert abs(got - want) <= 4 * math.ulp(want), (cap, density, t)
     for t in (0.1, 40.0):
-        assert strip_l2_log_norm(FourierOneForm.zero(16), t) == -math.inf
+        assert strip_l2_log_norm(FourierOneForm.from_coefficients({}, 16), t) == -math.inf
 
 
 # ---- circle_run against its dense form ---------------------------------------
