@@ -38,7 +38,6 @@ __all__ = [
     "is_tame",
     "mixed_orbit",
     "delta_search",
-    "sequence_from_spec",
 ]
 
 # Absolute floor below which an orbit counts as converged to zero, and the
@@ -187,6 +186,11 @@ class BrunoSequence:
             if v <= 0.0:
                 raise PreconditionError(f"term at {i} must be positive")
             logs.append(math.log(v))
+        return cls.from_log_terms(logs)
+
+    @classmethod
+    def from_log_terms(cls, logs: Sequence[float]) -> "BrunoSequence":
+        """Build from the logs of the terms; they must sit on one side of 0."""
         if all(l >= 0.0 for l in logs):
             sign = 1
         elif all(l <= 0.0 for l in logs):
@@ -483,68 +487,3 @@ def delta_search(a: BrunoSequence | LogSequence, b: BrunoSequence | LogSequence,
         else:
             hi = mid
     return lo
-
-
-# ---------------------------------------------------------------------------
-# JSON sequence specs
-# ---------------------------------------------------------------------------
-
-_SPEC_KEYS = {
-    "constant": {"value"},
-    "geometric": {"ratio"},
-    "phase-power": {"scale", "exponent", "sign"},
-    "explicit": {"terms", "log_terms", "sign", "phases"},
-}
-
-
-def finite_number(value, name: str) -> int | float:
-    """value, if it is a finite JSON number; bools, strings, NaN and infinities are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise PreconditionError(f"{name} must be a number")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise PreconditionError(f"{name} must be finite")
-    return value
-
-
-def spec_float(spec: dict, key: str, default: float | None = None) -> float:
-    """spec[key], or the default when one is given, as a finite float."""
-    return float(finite_number(spec[key] if default is None else spec.get(key, default), key))
-
-
-def _spec_sign(spec: dict) -> int:
-    sign = spec.get("sign", "+")
-    if isinstance(sign, bool) or sign not in ("+", "-", 1, -1):
-        raise PreconditionError("sequence sign must be '+' or '-'")
-    return -1 if sign in ("-", -1) else 1
-
-
-def sequence_from_spec(spec: dict, horizon: int) -> BrunoSequence:
-    """Build a sequence from a JSON spec {kind: ..., params...}."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise PreconditionError("sequence spec must be an object with a 'kind' key")
-    kind = spec["kind"]
-    if kind not in _SPEC_KEYS:
-        raise PreconditionError(f"unknown sequence kind {kind!r}")
-    extra = set(spec) - _SPEC_KEYS[kind] - {"kind"}
-    if extra:
-        raise PreconditionError(f"unknown keys for {kind!r} sequence: {sorted(extra)}")
-    if kind == "constant":
-        return BrunoSequence.constant(spec_float(spec, "value"), horizon)
-    if kind == "geometric":
-        return BrunoSequence.geometric(spec_float(spec, "ratio"), horizon)
-    if kind == "phase-power":
-        return BrunoSequence.phase_power(
-            spec_float(spec, "scale", 1.0), spec_float(spec, "exponent"), _spec_sign(spec), horizon
-        )
-    if "phases" in spec:
-        return BrunoSequence.from_phases(_spec_sign(spec), [float(finite_number(u, "phases")) for u in spec["phases"]])
-    if "log_terms" in spec:
-        logs = [float(finite_number(v, "log_terms")) for v in spec["log_terms"]]
-        if all(l >= 0.0 for l in logs):
-            sign = 1
-        elif all(l <= 0.0 for l in logs):
-            sign = -1
-        else:
-            raise PreconditionError("explicit log terms must not cross 0")
-        return BrunoSequence(sign, tuple(math.ldexp(abs(l), -n) for n, l in enumerate(logs)))
-    return BrunoSequence.from_terms([float(finite_number(v, "terms")) for v in spec["terms"]])

@@ -1,7 +1,9 @@
 """Command-line front end: parse experiment configs, dispatch, emit reports.
 
 Usage: scale-iter <command> --config <file> [--out <path>] [--format json|csv]
-[--seed N].  Configs are strict JSON objects.  Each command parses its config
+[--seed N].  Configs are strict JSON objects, and this is the one module that
+reads them: commands, sequence specs {"kind": ...} and factor specs
+{"type": ...}, each with its own key set.  Each command parses its config
 once into the sequences, factors and series its engine consumes; unknown keys,
 wrong types, non-finite numbers, values out of range or above the resource
 ceilings, and explicit sequences that end before the last index the engine
@@ -18,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +33,23 @@ __all__ = ["main", "run", "run_batch", "validate", "emit_table"]
 
 SCHEMA = "scale-iter.report.v1"
 
-_SEQUENCE_SHORTHAND_KEYS = {"kind", "value", "ratio", "scale", "exponent", "sign", "terms", "log_terms", "phases"}
+# The keys each sequence kind reads; the bruno command also takes them
+# inline, in place of a "sequence" object.
+_SEQUENCE_KEYS: dict[str, set[str]] = {
+    "constant": {"kind", "value"},
+    "geometric": {"kind", "ratio"},
+    "phase-power": {"kind", "scale", "exponent", "sign"},
+    "explicit": {"kind", "terms", "log_terms", "sign", "phases"},
+}
+_SEQUENCE_SHORTHAND_KEYS = set().union(*_SEQUENCE_KEYS.values())
+
+_FACTOR_KEYS: dict[str, set[str]] = {
+    "local": {"type", "C", "alpha", "beta"},
+    "perturbative": {"type", "alpha", "beta", "a"},
+    "kam": {"type", "k", "q", "l", "m", "a", "b"},
+}
+
+_DRIVE_KEYS = {"command", "seed", "kind", "factor", "t", "x0", "steps", "exponent_shift"}  # read by both kinds
 
 _COMMAND_KEYS: dict[str, set[str]] = {
     "bruno": {"command", "seed", "sequence", "horizon", "tol"} | _SEQUENCE_SHORTHAND_KEYS,
@@ -39,19 +58,8 @@ _COMMAND_KEYS: dict[str, set[str]] = {
     "morse": {"command", "seed", "steps", "truncation", "remainder"},
     "circle": {"command", "seed", "eps", "steps", "cap", "order", "strip_width"},
     "newton": {"command", "seed", "y", "x0", "steps", "truncation", "mode", "defect", "norm_radius"},
-    "drive": {
-        "command",
-        "seed",
-        "kind",
-        "factor",
-        "b",
-        "t",
-        "x0",
-        "steps",
-        "eps",
-        "c_phase_exponent",
-        "exponent_shift",
-    },
+    "contraction drive": _DRIVE_KEYS | {"b"},
+    "kam drive": _DRIVE_KEYS | {"eps", "c_phase_exponent"},
 }
 
 _DEFAULT_HORIZON = 48
@@ -63,6 +71,8 @@ MAX_TRUNCATION = 1024
 MAX_MORSE_STEPS = 9  # keeps the default truncation 2^steps + 2 at most 514
 MAX_CAP = 16384
 MAX_ORDER = 64
+MAX_DECIMAL_EXPONENT = sys.int_info.default_max_str_digits  # int() refuses a longer mantissa
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
 
 Command = Callable[[], tuple[dict, int]]
 
@@ -71,9 +81,29 @@ class ConfigError(Exception):
     """A config that does not parse into an engine call."""
 
 
-def _number(cfg: dict, key: str, default, lo=None, hi=None, integer: bool = False):
-    """cfg[key], or the default, as a finite int or float in [lo, hi]."""
-    value = bruno.finite_number(cfg.get(key, default), key)
+def _keys(spec: dict, allowed: set[str], what: str) -> None:
+    """Refuse the keys of spec that its reader does not read."""
+    extra = set(spec) - allowed
+    if extra:
+        raise ConfigError(f"unknown keys for {what}: {sorted(extra, key=str)}")
+
+
+def _number(cfg: dict, key: str, default=None, lo=None, hi=None, integer: bool = False):
+    """cfg[key], or the default, as a finite int or float in [lo, hi].
+
+    A key without a default is required.  Bools, strings, NaN and infinities
+    are not numbers.
+    """
+    if key in cfg:
+        value = cfg[key]
+    elif default is None:
+        raise ConfigError(f"{key} is required")
+    else:
+        value = default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite")
     if integer and int(value) != value:
         raise ConfigError(f"{key} must be an integer")
     value = int(value) if integer else float(value)
@@ -84,6 +114,58 @@ def _number(cfg: dict, key: str, default, lo=None, hi=None, integer: bool = Fals
     return value
 
 
+def _numbers(spec: dict, key: str) -> list[float]:
+    values = spec.get(key)
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of numbers")
+    return [_number({key: v}, key) for v in values]
+
+
+def _sign(spec: dict) -> int:
+    sign = spec.get("sign", "+")
+    if isinstance(sign, bool) or sign not in ("+", "-", 1, -1):
+        raise ConfigError("sequence sign must be '+' or '-'")
+    return -1 if sign in ("-", -1) else 1
+
+
+def _sequence(spec, horizon: int) -> bruno.BrunoSequence:
+    """The sequence a {"kind": ..., <its keys>} spec describes, materialized through horizon."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _SEQUENCE_KEYS:
+        raise ConfigError(f"a sequence is an object with 'kind' one of {sorted(_SEQUENCE_KEYS)}")
+    _keys(spec, _SEQUENCE_KEYS[kind], f"{kind!r} sequence")
+    if kind == "constant":
+        return bruno.BrunoSequence.constant(_number(spec, "value"), horizon)
+    if kind == "geometric":
+        return bruno.BrunoSequence.geometric(_number(spec, "ratio"), horizon)
+    if kind == "phase-power":
+        return bruno.BrunoSequence.phase_power(
+            _number(spec, "scale", 1.0), _number(spec, "exponent"), _sign(spec), horizon
+        )
+    if "phases" in spec:
+        return bruno.BrunoSequence.from_phases(_sign(spec), _numbers(spec, "phases"))
+    if "log_terms" in spec:
+        return bruno.BrunoSequence.from_log_terms(_numbers(spec, "log_terms"))
+    return bruno.BrunoSequence.from_terms(_numbers(spec, "terms"))
+
+
+def _factor(spec, horizon: int):
+    """The factor a {"type": ..., <its keys>} spec describes; gains are materialized through horizon."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _FACTOR_KEYS:
+        raise ConfigError(f"a factor is an object with 'type' one of {sorted(_FACTOR_KEYS)}")
+    _keys(spec, _FACTOR_KEYS[kind], f"{kind} factor")
+
+    def gain(key: str) -> bruno.BrunoSequence:
+        return _sequence(spec.get(key, {"kind": "constant", "value": 1.0}), horizon)
+
+    if kind == "local":
+        return factors.LocalFactor(_number(spec, "C", 1.0), _number(spec, "alpha", 0.0), _number(spec, "beta", 0.0))
+    if kind == "perturbative":
+        return factors.PerturbativeFactor(gain("a"), _number(spec, "alpha", 0.0), _number(spec, "beta", 0.0))
+    return factors.KamFactor(gain("a"), gain("b"), *(_number(spec, key, 0.0) for key in "kqlm"))
+
+
 def _reach(seq: bruno.BrunoSequence, name: str, last: int, horizon: int) -> bruno.BrunoSequence:
     """seq, if its terms reach index last, the last one the engine reads."""
     if seq.horizon < last:
@@ -92,17 +174,25 @@ def _reach(seq: bruno.BrunoSequence, name: str, last: int, horizon: int) -> brun
 
 
 def _coefficients(entries, key: str, mode: str) -> dict:
-    """Degree: coefficient entries; exact values are rationals, float values finite."""
+    """Degree: coefficient entries; exact values are rationals, float values finite.
+
+    An exact decimal string may not carry an exponent past MAX_DECIMAL_EXPONENT,
+    since Fraction computes 10**exponent.
+    """
     if not isinstance(entries, dict):
         raise ConfigError(f"{key} must be an object of degree: coefficient entries")
     parsed = {}
     for deg, value in entries.items():
+        name = f"{key} coefficient at degree {deg}"
         if isinstance(value, bool):
-            raise ConfigError(f"{key} coefficient at degree {deg} must be a number or a string")
-        if mode == "exact":
-            parsed[int(deg)] = Fraction(value)
+            raise ConfigError(f"{name} must be a number or a string")
+        if mode == "float":
+            parsed[int(deg)] = complex(_number({name: float(value)}, name))
             continue
-        parsed[int(deg)] = complex(bruno.finite_number(float(value), f"{key} coefficient at degree {deg}"))
+        exponent = _DECIMAL_EXPONENT.search(value) if isinstance(value, str) else None
+        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+            raise ConfigError(f"{name} has a decimal exponent past {MAX_DECIMAL_EXPONENT}")
+        parsed[int(deg)] = Fraction(value)
     return parsed
 
 
@@ -122,7 +212,7 @@ def _parse_bruno(cfg: dict) -> Command:
         spec = {k: cfg[k] for k in _SEQUENCE_SHORTHAND_KEYS if k in cfg}
         if "kind" not in spec:
             raise ConfigError("bruno command needs a 'sequence' object or inline 'kind'")
-    seq = _reach(bruno.sequence_from_spec(spec, horizon), "sequence", horizon, horizon)
+    seq = _reach(_sequence(spec, horizon), "sequence", horizon, horizon)
 
     def command() -> tuple[dict, int]:
         limit = bruno.a_pi(seq, tol)
@@ -146,7 +236,7 @@ def _parse_tame(cfg: dict) -> Command:
     for key, last in (("a", horizon - 1), ("b", horizon)):
         if key not in cfg:
             raise ConfigError(f"tame command needs sequence {key!r}")
-        pair.append(_reach(bruno.sequence_from_spec(cfg[key], horizon + 1), key, last, horizon))
+        pair.append(_reach(_sequence(cfg[key], horizon + 1), key, last, horizon))
 
     def command() -> tuple[dict, int]:
         verdict = bruno.is_tame(*pair, horizon)
@@ -169,11 +259,11 @@ def _parse_schedule(cfg: dict) -> Command:
         raise ConfigError("schedule command needs a 'rho' sequence")
     # materialized well past the requested steps so the limit radius is tight;
     # schedule_build reads rho below index steps
-    rho = _reach(bruno.sequence_from_spec(cfg["rho"], max(steps, _DEFAULT_HORIZON)), "rho", steps - 1, steps)
+    rho = _reach(_sequence(cfg["rho"], max(steps, _DEFAULT_HORIZON)), "rho", steps - 1, steps)
     for n in range(steps):
         if rho.log_term(n) >= -math.log(2.0) * (1.0 - 1e-12):
             raise ConfigError(f"rho term at {n} is >= 1/2; the schedule hypothesis requires rho < 1/2")
-    factor = factors.factor_from_spec(cfg["factor"], max(steps, 2)) if "factor" in cfg else None
+    factor = _factor(cfg["factor"], max(steps, 2)) if "factor" in cfg else None
 
     def command() -> tuple[dict, int]:
         sched = factors.schedule_build(t, rho, steps, shift)
@@ -265,14 +355,10 @@ def _parse_drive(cfg: dict) -> Command:
     steps = _number(cfg, "steps", 20, lo=1, hi=MAX_HORIZON, integer=True)
     t = _number(cfg, "t", 1.0, lo=1e-300)
     x0 = engines.ScalarElement(_number(cfg, "x0", 0.25, lo=0.0))
-    eps = _number(cfg, "eps", 0.5, lo=1e-9)
-    c_phase_exponent = _number(cfg, "c_phase_exponent", 1.9, lo=1.0)
     shift = _number(cfg, "exponent_shift", 1, integer=True)
-    # b is parsed under both kinds; only the contraction reads it
-    b = bruno.sequence_from_spec(cfg.get("b", {"kind": "constant", "value": 0.5}), steps + 1)
-    kind = cfg.get("kind")
-    if kind == "contraction":
-        f = factors.factor_from_spec(cfg.get("factor", {"type": "perturbative"}), steps + 1)
+    if cfg["kind"] == "contraction":
+        b = _sequence(cfg.get("b", {"kind": "constant", "value": 0.5}), steps + 1)
+        f = _factor(cfg.get("factor", {"type": "perturbative"}), steps + 1)
         if not isinstance(f, factors.PerturbativeFactor):
             raise ConfigError("contraction drive needs a perturbative factor")
         if b.sign != -1:
@@ -286,11 +372,13 @@ def _parse_drive(cfg: dict) -> Command:
             family = engines.scalar_contraction_family(f.gain)
             return _drive_payload(engines.contraction_run(family, f, b, t, x0, steps, shift))
 
-    elif kind == "kam":
+    else:  # kam, the only other kind _parse admits
+        eps = _number(cfg, "eps", 0.5, lo=1e-9)
+        c_phase_exponent = _number(cfg, "c_phase_exponent", 1.9, lo=1.0)
         # the tameness check splits the horizon into halves and reads 2^steps
         if not 4 <= steps <= MAX_KAM_STEPS:
             raise ConfigError(f"kam drive steps must sit in [4, {MAX_KAM_STEPS}]")
-        f = factors.factor_from_spec(cfg.get("factor", {"type": "kam"}), steps + 2)
+        f = _factor(cfg.get("factor", {"type": "kam"}), steps + 2)
         if not isinstance(f, factors.KamFactor):
             raise ConfigError("kam drive needs a kam factor")
         if c_phase_exponent - 1.0 <= eps:
@@ -303,8 +391,6 @@ def _parse_drive(cfg: dict) -> Command:
             family = engines.scalar_kam_family(f)
             return _drive_payload(engines.kam_run(family, f, eps, c_phase_exponent, t, x0, steps, shift))
 
-    else:
-        raise ConfigError("drive kind must be 'contraction' or 'kam'")
     return command
 
 
@@ -330,11 +416,13 @@ def _parse(config) -> tuple[Command, int | None]:
     command = config.get("command")
     if not isinstance(command, str) or command not in _PARSERS:
         raise ConfigError(f"unknown command {command!r}; expected one of {sorted(_PARSERS)}")
-    extra = set(config) - _COMMAND_KEYS[command]
-    if extra:
-        raise ConfigError(f"unknown keys for {command}: {sorted(extra, key=str)}")
+    # a drive reads the keys of its kind
+    what = f"{config.get('kind')} drive" if command == "drive" else command
+    if what not in _COMMAND_KEYS:
+        raise ConfigError("drive kind must be 'contraction' or 'kam'")
+    _keys(config, _COMMAND_KEYS[what], what)
     try:
-        seed = _number(config, "seed", 0, integer=True) if "seed" in config else None
+        seed = _number(config, "seed", integer=True) if "seed" in config else None
         return _PARSERS[command](config), seed
     except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -431,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="scale-iter",
         description="Finite-horizon experiments for small-divisor iteration machinery.",
     )
-    parser.add_argument("command", choices=sorted(_COMMAND_KEYS))
+    parser.add_argument("command", choices=sorted(_PARSERS))
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
     parser.add_argument("--format", default="json", choices=["json", "csv"])

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .bruno import (
     BrunoSequence,
@@ -32,7 +31,6 @@ from .bruno import (
     a_pi,
     is_bruno,
     is_tame,
-    TameVerdict,
 )
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "perturbative_bound_check",
     "perturbative_radius_search",
     "kam_schedule_tame_check",
-    "factor_from_spec",
 ]
 
 _LOG2 = math.log(2.0)
@@ -154,9 +151,6 @@ class KamFactor:
             + _pow2(n) * (s - t)
         )
         return log_m, log_n
-
-
-FactorLike = Union[LocalFactor, PerturbativeFactor, KamFactor]
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +357,9 @@ def perturbative_radius_search(
 class KamTameReport:
     tame: bool
     N: int | None
-    c_flags: tuple[bool, ...]
-    first_c_index: int | None
     log_m: tuple[float, ...]
     log_n: tuple[float, ...]
-    gain_ratios: tuple[float, ...]
     schedule: RadiusSchedule
-    tame_verdict: TameVerdict
-    phase_decay_ok: bool
 
 
 def kam_schedule_tame_check(
@@ -380,25 +369,23 @@ def kam_schedule_tame_check(
     c_phase_exponent: float,
     horizon: int,
     exponent_shift: int = 1,
-    rho_phase_scale: float = 1.0,
 ) -> KamTameReport:
     """Evaluate (M_n, N_n) along the 1/n^(1+eps)-phase schedule and test tameness.
 
     Builds rho with phase 1/n^(1+eps), evaluates both factor parts at
-    (s_(n+1), s_n) in log-domain, runs the tameness scan on the evaluated
-    pair, and checks log N_n < -2^n / n^(1+delta) with
-    delta = c_phase_exponent - 1.  gain_ratios report how closely the
-    truncation gain tracks rho_n^(s_inf), the asymptotic it should follow.
+    (s_(n+1), s_n) in log-domain and runs the tameness scan on the evaluated
+    pair.  c_phase_exponent, the exponent of the bound
+    c_n = exp(-2^n / n^c_phase_exponent) that kam_run checks, must exceed
+    1 + eps.
     """
     if eps <= 0.0:
         raise PreconditionError("eps must be positive")
-    delta = c_phase_exponent - 1.0
-    if delta <= eps:
+    if c_phase_exponent - 1.0 <= eps:
         raise PreconditionError("c phase exponent must exceed 1 + eps")
     if horizon < 4:
         raise PreconditionError("horizon too short to split into halves")
 
-    rho = BrunoSequence.phase_power(rho_phase_scale, 1.0 + eps, -1, horizon + 1)
+    rho = BrunoSequence.phase_power(1.0, 1.0 + eps, -1, horizon + 1)
     sched = schedule_build(t, rho, horizon + 1, exponent_shift)
 
     # Empirical phase-decay precondition: (alpha_n + beta_n) * n^(2+eps)
@@ -408,74 +395,14 @@ def kam_schedule_tame_check(
         for n in range(horizon + 1)
     ]
     half = horizon // 2
-    phase_decay_ok = max(weighted[half:]) <= max(weighted[: half + 1]) + 1e-12
-    if not phase_decay_ok:
+    if not max(weighted[half:]) <= max(weighted[: half + 1]) + 1e-12:
         raise PreconditionError("gain phases do not decay like o(1/n^(2+eps)) over the horizon")
 
-    log_m, log_n, gain_ratios = [], [], []
-    log_s_inf = sched.log_s_inf
+    log_m, log_n = [], []
     for n in range(horizon + 1):
         lm, ln = K.log_eval(n, math.exp(sched.log_radii[n + 1]), math.exp(sched.log_radii[n]))
         log_m.append(lm)
         log_n.append(ln)
-        gain = _pow2(n) * (math.exp(sched.log_radii[n + 1]) - math.exp(sched.log_radii[n]))
-        target = math.exp(log_s_inf) * (-math.ldexp(rho.phases[n], n))  # rho has horizon + 2 terms
-        gain_ratios.append(gain / target if target != 0.0 else math.nan)
 
     verdict = is_tame(LogSequence(tuple(log_m)), LogSequence(tuple(log_n)), horizon)
-
-    c_flags = []
-    for n in range(horizon + 1):
-        bound = -_pow2(n) / float(max(n, 1)) ** (1.0 + delta)
-        c_flags.append(log_n[n] < bound)
-    first_c: int | None = None
-    ok = True
-    for n in range(horizon, -1, -1):
-        ok = ok and c_flags[n]
-        if ok:
-            first_c = n
-
-    return KamTameReport(
-        verdict.tame,
-        verdict.N,
-        tuple(c_flags),
-        first_c,
-        tuple(log_m),
-        tuple(log_n),
-        tuple(gain_ratios),
-        sched,
-        verdict,
-        phase_decay_ok,
-    )
-
-
-# ---------------------------------------------------------------------------
-# JSON specs
-# ---------------------------------------------------------------------------
-
-
-def factor_from_spec(spec: dict, horizon: int) -> FactorLike:
-    from .bruno import sequence_from_spec, spec_float
-
-    if not isinstance(spec, dict):
-        raise PreconditionError("factor spec must be an object with a 'type' key")
-    kind = spec.get("type")
-    if kind == "local":
-        allowed = {"type", "C", "alpha", "beta"}
-        if set(spec) - allowed:
-            raise PreconditionError(f"unknown keys in local factor spec: {sorted(set(spec) - allowed)}")
-        return LocalFactor(spec_float(spec, "C", 1.0), spec_float(spec, "alpha", 0.0), spec_float(spec, "beta", 0.0))
-    if kind == "perturbative":
-        allowed = {"type", "alpha", "beta", "a"}
-        if set(spec) - allowed:
-            raise PreconditionError(f"unknown keys in perturbative factor spec: {sorted(set(spec) - allowed)}")
-        gain = sequence_from_spec(spec.get("a", {"kind": "constant", "value": 1.0}), horizon)
-        return PerturbativeFactor(gain, spec_float(spec, "alpha", 0.0), spec_float(spec, "beta", 0.0))
-    if kind == "kam":
-        allowed = {"type", "k", "q", "l", "m", "a", "b"}
-        if set(spec) - allowed:
-            raise PreconditionError(f"unknown keys in kam factor spec: {sorted(set(spec) - allowed)}")
-        a = sequence_from_spec(spec.get("a", {"kind": "constant", "value": 1.0}), horizon)
-        b = sequence_from_spec(spec.get("b", {"kind": "constant", "value": 1.0}), horizon)
-        return KamFactor(a, b, *(spec_float(spec, key, 0.0) for key in "kqlm"))
-    raise PreconditionError(f"unknown factor type {kind!r}")
+    return KamTameReport(verdict.tame, verdict.N, tuple(log_m), tuple(log_n), sched)

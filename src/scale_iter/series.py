@@ -314,20 +314,20 @@ def linearization_action(
 def ps_norm(f: TruncatedPowerSeries, t: float) -> float:
     """Coefficient majorant sum |c_k| t^k, an upper bound for the sup over the closed disk.
 
-    Zero coefficients form no t^k, so only a nonzero term can leave the float
-    range; an exact coefficient past the float range sends the sum to the log
-    domain.
+    Zero coefficients form no t^k.  When a nonzero coefficient or its power
+    t^k leaves the float range, the sum moves to the log domain; so does a
+    coefficient that underflows a float while its t^k overflows.
     """
     if t <= 0.0:
         raise ValueError("radius must be positive")
-    if f.mode == "exact":  # float first: the same value, without an abs Fraction
-        try:
-            mags = [abs(float(c)) for c in f.coefficients]
-        except OverflowError:
-            return _log_domain_norm(f.coefficients, t)
-    else:
-        mags = [abs(c) for c in f.coefficients]
-    return math.fsum(m * t**k for k, m in enumerate(mags) if m)
+    try:
+        if f.mode == "exact":  # float first: the same value, without an abs Fraction
+            return math.fsum(abs(float(c)) * t**k for k, c in enumerate(f.coefficients) if c)
+        return math.fsum(abs(c) * t**k for k, c in enumerate(f.coefficients) if c)
+    except OverflowError:
+        if f.mode == "exact":
+            return _log_domain_norm(_exact_log_magnitudes(f.coefficients), t)
+        return _log_domain_norm([(k, math.log(abs(c))) for k, c in enumerate(f.coefficients) if c], t)
 
 
 def _numerator_norm(nums: list[int], den: int, t: float) -> float:
@@ -339,22 +339,28 @@ def _numerator_norm(nums: list[int], den: int, t: float) -> float:
     if t <= 0.0:
         raise ValueError("radius must be positive")
     try:
-        mags = [abs(n / den) for n in nums]
+        return math.fsum(abs(n / den) * t**k for k, n in enumerate(nums) if n)
     except OverflowError:
-        return _log_domain_norm([Fraction(n, den) for n in nums], t)
-    return math.fsum(m * t**k for k, m in enumerate(mags) if m)
+        return _log_domain_norm(_exact_log_magnitudes([Fraction(n, den) for n in nums]), t)
 
 
-def _log_domain_norm(coeffs, t: float) -> float:
-    """ps_norm of exact coefficients some of which overflow a float.
+def _exact_log_magnitudes(coeffs: list[Fraction]) -> list[tuple[int, float]]:
+    """(k, log|c_k|) of each nonzero coefficient; log|numerator| - log(denominator)
+    holds for integers of any size."""
+    return [(k, math.log(abs(c.numerator)) - math.log(c.denominator)) for k, c in enumerate(coeffs) if c]
 
-    log|c| = log|numerator| - log(denominator) holds for integers of any size;
-    the terms are summed as logs shifted by the largest one, and the norm
-    saturates to inf only when it leaves the float range itself.
+
+def _log_domain_norm(log_mags: list[tuple[int, float]], t: float) -> float:
+    """sum |c_k| t^k from the pairs (k, log|c_k|) of the nonzero coefficients.
+
+    The terms log|c_k| + k log t are summed shifted by the largest one, so the
+    norm saturates to inf only when it leaves the float range itself.
     """
     log_t = math.log(t)
-    terms = [math.log(abs(c.numerator)) - math.log(c.denominator) + k * log_t for k, c in enumerate(coeffs) if c]
+    terms = [l + k * log_t for k, l in log_mags]
     top = max(terms)
+    if top == math.inf:  # an infinite float coefficient
+        return math.inf
     try:
         return math.exp(top + math.log(math.fsum(math.exp(x - top) for x in terms)))
     except OverflowError:

@@ -18,7 +18,6 @@ from scale_iter.bruno import (
     log_bruno_transform,
     mixed_orbit,
     quadratic_orbit,
-    sequence_from_spec,
 )
 
 H = 48
@@ -210,40 +209,6 @@ def test_delta_search_feasible_and_maximal():
     assert 0.1 < delta < 1.0
     assert mixed_orbit(a, b, delta, 30).all_flags()
     assert not mixed_orbit(a, b, min(1.0, delta * 1.01), 30, require_tame=False).all_flags()
-
-
-def test_sequence_spec_round_trip():
-    seq = BrunoSequence.geometric(0.8, 12)
-    spec = {"kind": "explicit", "sign": "-", "phases": list(seq.phases)}
-    back = sequence_from_spec(spec, 12)
-    assert back.sign == seq.sign and back.phases == seq.phases
-
-
-def test_sequence_spec_kinds_and_rejection():
-    assert sequence_from_spec({"kind": "constant", "value": 2.0}, 8).log_term(3) == pytest.approx(math.log(2.0))
-    assert sequence_from_spec({"kind": "geometric", "ratio": 3.0}, 8).log_term(2) == pytest.approx(math.log(9.0))
-    s = sequence_from_spec({"kind": "phase-power", "exponent": 2.0, "sign": "-"}, 8)
-    assert s.phase(3) == pytest.approx(1.0 / 9.0)
-    e = sequence_from_spec({"kind": "explicit", "terms": [1.0, 2.0, 4.0]}, 2)
-    assert e.log_term(2) == pytest.approx(math.log(4.0))
-    lg = sequence_from_spec({"kind": "explicit", "log_terms": [0.0, -1.0, -4.0]}, 2)
-    assert lg.log_term(2) == pytest.approx(-4.0)
-    with pytest.raises(PreconditionError):
-        sequence_from_spec({"kind": "constant", "value": 1.0, "bogus": 3}, 8)
-    with pytest.raises(PreconditionError):
-        sequence_from_spec({"kind": "nope"}, 8)
-    # numbers inside a spec are finite JSON numbers: no bools, strings, NaN or inf
-    for spec in (
-        {"kind": "constant", "value": True},
-        {"kind": "constant", "value": "0.25"},
-        {"kind": "geometric", "ratio": math.nan},
-        {"kind": "phase-power", "exponent": math.inf},
-        {"kind": "phase-power", "exponent": 2.0, "sign": True},
-        {"kind": "explicit", "log_terms": [0.0, math.nan]},
-        {"kind": "explicit", "terms": "124"},
-    ):
-        with pytest.raises(PreconditionError):
-            sequence_from_spec(spec, 2)
 
 
 def test_log_sequence_wrapper():

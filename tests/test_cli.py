@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from scale_iter import cli, engines, factors
+from scale_iter import bruno, cli, engines, factors
 from scale_iter.series import TruncatedPowerSeries
 
 
@@ -64,6 +64,79 @@ def test_validate_catches_unparseable_payloads():
     assert cli.validate(
         {"command": "drive", "kind": "contraction", "b": {"kind": "nope"}}
     )
+
+
+def _engine_args(monkeypatch, module, name, cfg):
+    """The arguments cli.run passes to module.name when it runs cfg."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    assert cli.run(cfg) in (0, 2)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def _built_sequence(monkeypatch, spec, horizon):
+    """The sequence the bruno command builds from spec."""
+    cfg = {"command": "bruno", "sequence": spec, "horizon": horizon}
+    return _engine_args(monkeypatch, bruno, "a_pi", cfg)[0]
+
+
+def test_sequence_spec_round_trip(monkeypatch):
+    seq = bruno.BrunoSequence.geometric(0.8, 12)
+    spec = {"kind": "explicit", "sign": "-", "phases": list(seq.phases)}
+    back = _built_sequence(monkeypatch, spec, 12)
+    assert back.sign == seq.sign and back.phases == seq.phases
+
+
+def test_sequence_spec_kinds_and_rejection(monkeypatch):
+    def built(spec, horizon):
+        return _built_sequence(monkeypatch, spec, horizon)
+
+    assert built({"kind": "constant", "value": 2.0}, 8).log_term(3) == pytest.approx(math.log(2.0))
+    assert built({"kind": "geometric", "ratio": 3.0}, 8).log_term(2) == pytest.approx(math.log(9.0))
+    s = built({"kind": "phase-power", "exponent": 2.0, "sign": "-"}, 8)
+    assert s.sign == -1 and s.phase(3) == pytest.approx(1.0 / 9.0)
+    e = built({"kind": "explicit", "terms": [1.0, 2.0, 4.0]}, 2)
+    assert e.log_term(2) == pytest.approx(math.log(4.0))
+    lg = built({"kind": "explicit", "log_terms": [0.0, -1.0, -4.0]}, 2)
+    assert lg.log_term(2) == pytest.approx(-4.0)
+    # each spec is refused for its own fault, not for its length; numbers
+    # inside a spec are finite JSON numbers: no bools, strings, NaN or inf
+    for spec, message in (
+        ({"kind": "constant", "value": 1.0, "bogus": 3}, "unknown keys for 'constant' sequence: ['bogus']"),
+        ({"kind": "nope"}, "a sequence is an object with 'kind' one of"),
+        ({"kind": "constant", "value": True}, "value must be a number"),
+        ({"kind": "constant", "value": "0.25"}, "value must be a number"),
+        ({"kind": "geometric", "ratio": math.nan}, "ratio must be finite"),
+        ({"kind": "phase-power", "exponent": math.inf}, "exponent must be finite"),
+        ({"kind": "phase-power", "exponent": 2.0, "sign": True}, "sequence sign must be '+' or '-'"),
+        ({"kind": "explicit", "log_terms": [0.0, math.nan, 0.0]}, "log_terms must be finite"),
+        ({"kind": "explicit", "log_terms": [1.0, -1.0, 0.0]}, "terms must all be >= 1 or all <= 1"),
+        ({"kind": "explicit", "terms": "124"}, "terms must be a list of numbers"),
+    ):
+        diags = cli.validate({"command": "bruno", "sequence": spec, "horizon": 2})
+        assert len(diags) == 1 and diags[0].startswith(message), spec
+
+
+def test_factor_spec_round_trip(monkeypatch):
+    cfg = {
+        "command": "drive",
+        "kind": "contraction",
+        "factor": {"type": "perturbative", "alpha": 1.0, "beta": 2.0, "a": {"kind": "constant", "value": 2.0}},
+    }
+    back = _engine_args(monkeypatch, engines, "contraction_run", cfg)[1]
+    assert isinstance(back, factors.PerturbativeFactor)
+    assert back.inner_exponent == 1.0 and back.gap_exponent == 2.0
+    assert back.gain.phases == pytest.approx(bruno.BrunoSequence.constant(2.0, 21).phases)
+    schedule = {"command": "schedule", "rho": {"kind": "constant", "value": 0.25}}
+    for spec, message in (
+        ({"type": "local", "C": 1.0, "junk": 2}, "unknown keys for local factor: ['junk']"),
+        ({"type": "local", "alpha": math.nan}, "alpha must be finite"),
+        ({"type": "perturbative", "beta": "1"}, "beta must be a number"),
+        ({"type": "kam", "k": True}, "k must be a number"),
+    ):
+        assert cli.validate({**schedule, "factor": spec}) == [message], spec
 
 
 def test_run_bruno_constant_one(tmp_path, capsys):
@@ -192,7 +265,8 @@ def _emission_cases():
     D = 16
     exact_y = TruncatedPowerSeries.from_dict({1: 1, 2: "1/10"}, D)
     float_y = TruncatedPowerSeries.from_dict({1: 1.0, 2: 0.1}, D, "float")
-    kam = factors.factor_from_spec({"type": "kam"}, 27)
+    ones = bruno.BrunoSequence.constant(1.0, 27)
+    kam = factors.KamFactor(ones, ones)
     return [
         ({"command": "circle", "eps": 0.1, "steps": 2, "cap": 16}, lambda: engines.circle_run(0.1, 2, 16)),
         (
@@ -407,6 +481,16 @@ def test_newton_norms_form_no_power_for_a_zero_coefficient(capsys):
         captured = capsys.readouterr()
         assert captured.err == "", extra
         assert json.loads(captured.out)["report"]["verdict"] == "converged", extra
+    # a nonzero coefficient whose t^k leaves the float range is summed in the
+    # log domain, and the norm saturates to inf only past the float range
+    for cfg in (
+        {"command": "newton", "y": {"1": "1", "2": "1/10"}, "truncation": 400, "steps": 3, "norm_radius": 20},
+        {"command": "newton", "mode": "float", "y": {"1": 1, "2": 0.1}, "truncation": 40, "steps": 3, "norm_radius": 1e10},
+    ):
+        assert cli.run(cfg) in (0, 2), cfg
+        captured = capsys.readouterr()
+        assert captured.err == "", cfg
+        assert json.loads(captured.out)["report"]["steps"], cfg
 
 
 def test_float_newton_tiny_constant_term_is_not_singular(capsys):
@@ -503,6 +587,9 @@ PARSE_FAILURES = [
     {"command": "drive", "kind": "kam", "steps": 3},
     {"command": "newton", "x0": {"0": "0", "1": "1"}},
     {"command": "drive", "kind": "contraction", "b": {"kind": "constant", "value": 2.0}},
+    {"command": "morse", "remainder": {"3": "1e1000000"}},
+    {"command": "drive", "kind": "kam", "b": {"kind": "constant", "value": 0.5}},
+    {"command": "drive", "kind": "contraction", "eps": 0.5},
 ]
 
 
@@ -633,8 +720,6 @@ def test_kam_drive_zero_orbit_under_saturated_gain(tmp_path):
 
 
 def test_kam_drive_divergence_agrees_with_mixed_orbit(tmp_path):
-    from scale_iter import bruno, engines, factors
-
     cfg = {
         "command": "drive",
         "kind": "kam",
@@ -646,7 +731,7 @@ def test_kam_drive_divergence_agrees_with_mixed_orbit(tmp_path):
     assert cli.run(cfg, out_path=out) == 2
     assert json.loads(out.read_text())["report"]["verdict"] == "diverged"
 
-    K = factors.factor_from_spec(cfg["factor"], 42)
+    K = factors.KamFactor(bruno.BrunoSequence.geometric(10, 42), bruno.BrunoSequence.constant(1.0, 42))
     res = engines.kam_run(engines.scalar_kam_family(K), K, 0.5, 1.9, 1.0, engines.ScalarElement(0.1), 40)
     orbit = bruno.mixed_orbit(
         bruno.LogSequence(res.log_m[:41]), bruno.LogSequence(res.log_n[:41]), 0.1, 40, require_tame=False
@@ -700,7 +785,10 @@ SWEEP_BASES = [
     },
 ]
 
-SWEEP_JUNK = ["x", [1], {"k": 1}, None, True, NAN, INF, -INF, -1, 0, 0.5, 2.5, 1e308, 10**30, "1/0", {}]
+SWEEP_JUNK = ["x", [1], {"k": 1}, None, True, NAN, INF, -INF, -1, 0, 0.5, 2.5, 1e308, 10**30, "1/0", {}, "1e1000000"]
+
+# unknown keys, and keys that only one drive kind reads
+SWEEP_KEYS = ["zz0", "zz1", "zz2", "b", "eps", "c_phase_exponent"]
 
 
 def _mutate(cfg, rng):
@@ -725,7 +813,7 @@ def _mutate(cfg, rng):
         container[key] = {"kind": "explicit", "log_terms": [sign * n for n in range(rng.randint(0, 14))]}
     else:
         dicts = [c for c, _ in slots if isinstance(c, dict)]
-        rng.choice(dicts)[f"zz{rng.randint(0, 9)}"] = 1
+        rng.choice(dicts).setdefault(rng.choice(SWEEP_KEYS), 0.5)
     return cfg
 
 

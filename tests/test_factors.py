@@ -4,13 +4,12 @@ import math
 
 import pytest
 
-from scale_iter.bruno import BrunoSequence, PreconditionError
+from scale_iter.bruno import BrunoSequence, LogSequence, PreconditionError, is_tame
 from scale_iter.factors import (
     KamFactor,
     LocalFactor,
     PerturbativeFactor,
     ScheduleError,
-    factor_from_spec,
     geometric_bound_check,
     kam_schedule_tame_check,
     perturbative_bound_check,
@@ -215,7 +214,8 @@ def test_kam_check_carries_violations_not_errors():
     rep = kam_schedule_tame_check(K, 0.5, 4.0, 1.9, 40)
     assert rep.tame
     # early evaluated linear terms sit above 1; that is reported, not fatal
-    assert any(msg == "b term above 1" for _, msg in rep.tame_verdict.violations)
+    violations = is_tame(LogSequence(rep.log_m), LogSequence(rep.log_n), 40).violations
+    assert any(msg == "b term above 1" for _, msg in violations)
 
 
 def test_kam_check_rejects_slow_phases():
@@ -232,24 +232,11 @@ def test_kam_check_delta_must_exceed_eps():
 
 
 def test_kam_gain_ratio_tracks_schedule_driver():
-    # under the cancelling root the truncation gain matches rho_n^(s_inf)
-    # within 5 percent over the back half of the horizon
-    ones = BrunoSequence.constant(1.0, 42)
-    rep = kam_schedule_tame_check(
-        KamFactor(ones, ones), 2.0, 1.0, 3.5, 40, exponent_shift=0, rho_phase_scale=3.0
-    )
-    assert all(abs(r - 1.0) <= 0.05 for r in rep.gain_ratios[20:41])
-
-
-def test_factor_spec_round_trip():
-    gain = BrunoSequence.constant(2.0, 10)
-    spec = {"type": "perturbative", "alpha": 1.0, "beta": 2.0, "a": {"kind": "constant", "value": 2.0}}
-    back = factor_from_spec(spec, 10)
-    assert isinstance(back, PerturbativeFactor)
-    assert back.inner_exponent == 1.0 and back.gap_exponent == 2.0
-    assert back.gain.phases == pytest.approx(gain.phases)
-    with pytest.raises(PreconditionError):
-        factor_from_spec({"type": "local", "C": 1.0, "junk": 2}, 10)
-    for spec in ({"type": "local", "alpha": math.nan}, {"type": "perturbative", "beta": "1"}, {"type": "kam", "k": True}):
-        with pytest.raises(PreconditionError):
-            factor_from_spec(spec, 10)
+    # under the cancelling root the truncation gain 2^n (s_(n+1) - s_n) of a
+    # phase-scale-3, 1/n^3-phase schedule matches log rho_n^(s_inf) within 5
+    # percent over the back half of the horizon
+    rho = BrunoSequence.phase_power(3.0, 3.0, -1, 41)
+    sched = schedule_build(1.0, rho, 41, 0)
+    for n in range(20, 41):
+        gain = math.ldexp(sched.radius(n + 1) - sched.radius(n), n)
+        assert abs(gain / (sched.s_inf * rho.log_term(n)) - 1.0) <= 0.05, n

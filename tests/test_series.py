@@ -215,6 +215,16 @@ def test_norm_examples():
         assert ps_norm(S({1: 1}, 400, mode), 20.0) == 20.0
         assert ps_norm(S({1: 1}, 40, mode), 1e10) == 1e10
     assert _numerator_norm([0, 3] + [0] * 399, 2, 20.0) == 30.0
+    # a nonzero coefficient whose t^k leaves the float range: the norm is summed
+    # in the log domain, and saturates only when it leaves the range itself
+    den = 10**500
+    g = S({1: 1, 400: Fraction(1, den)}, 400)
+    expected = float(20 + Fraction(20) ** 400 / den)
+    assert ps_norm(g, 20.0) == pytest.approx(expected, rel=1e-12)
+    assert _numerator_norm([0, den] + [0] * 398 + [1], den, 20.0) == ps_norm(g, 20.0)
+    assert ps_norm(S({1: 1.0, 40: 1e-300}, 40, "float"), 1e10) == pytest.approx(1e100, rel=1e-12)
+    for mode in ("exact", "float"):
+        assert ps_norm(S({400: 1}, 400, mode), 20.0) == math.inf
 
 
 def test_exact_norm_past_the_float_range():
