@@ -312,10 +312,10 @@ def circle_run(
     harmonics re-appear with higher-order coefficients, which the report
     records for |k| <= 4 together with the strip norm of what remains.
     """
-    # numpy and the Fourier layer load here, so the other commands never pay for them
-    import numpy as np
-
-    from .fourier import FourierOneForm, cos_coefficient, lie_exp_terms, solve_homological, strip_l2_norm
+    # the Fourier layer, and with it numpy, loads here so the other commands never pay for it
+    from .fourier import (
+        FourierOneForm, _difference, _sum, cos_coefficient, lie_exp_terms, solve_homological, strip_l2_norm,
+    )
 
     if not 0.0 <= eps < 1.0:
         raise PreconditionError("eps must sit in [0, 1)")
@@ -326,24 +326,21 @@ def circle_run(
     forms = [alpha]
     records: list[StepRecord] = []
     prev_norm: float | None = None
-    harmonic = np.abs(np.arange(-cap, cap + 1))
     for n in range(steps):
         cutoff = 2**n
-        target = FourierOneForm(cap, np.where((harmonic != 0) & (harmonic <= cutoff), alpha.data, 0.0))
+        target = alpha.perturbation(cutoff)
         mean_drift = abs(alpha.coefficient(0) - 1.0)
-        if target.data.any():
+        if target.band.size:
             v = solve_homological(target, cutoff)
             terms = lie_exp_terms(v, alpha, lie_order)
-            alpha_next = FourierOneForm(cap, sum(term.data for term in terms))
+            alpha_next = _sum(terms)
             last_term_norm = strip_l2_norm(terms[-1], strip_width)
         else:
             alpha_next = alpha
             last_term_norm = 0.0
 
-        new_pert = FourierOneForm(cap, np.where(harmonic != 0, alpha_next.data, 0.0))
-        step_norm = strip_l2_norm(
-            FourierOneForm(cap, alpha_next.data - alpha.data), strip_width
-        )
+        new_pert = alpha_next.perturbation(cap)
+        step_norm = strip_l2_norm(_difference(alpha_next, alpha), strip_width)
         residual = strip_l2_norm(new_pert, strip_width)
         extras = {
             "mean_drift": mean_drift,

@@ -1,14 +1,14 @@
 """Harmonic-capped trigonometric data on the circle.
 
-One-forms a(theta) dtheta and vector fields f(theta) d/dtheta are stored as
-complex coefficient arrays over harmonics k = -K..K.  The Lie derivative of
+One-forms a(theta) dtheta and vector fields f(theta) d/dtheta with harmonics
+|k| <= K are stored as the complex band of harmonics they occupy, trimmed to
+its nonzero ends.  The Lie derivative of
 a one-form along a field is (a f)' dtheta, products are convolutions
 truncated back to the cap, and the homological equation f' = -beta is
 solved harmonic by harmonic with the mean as the obstruction.
 
-The cap is a bookkeeping bound: products convolve only the harmonic band
-each operand occupies and norms read only the nonzero harmonics, so cost
-follows the occupied band plus O(cap) array passes, not the cap squared.
+The cap is a bookkeeping bound that only clips products: every kernel reads
+and returns bands, so cost follows the occupied band, whatever the cap.
 
 The strip L2 norm weights harmonic k by sinh(2|k|t)/|k| (2t at k = 0);
 sinh switches to a log-domain evaluation once 2|k|t is large, so tail
@@ -58,46 +58,69 @@ def _log_sinh(x):
     return np.where(big, tail, np.log(np.sinh(np.minimum(x, 30.0))))[()]
 
 
-@dataclass(frozen=True)
 class _TrigData:
-    """Shared coefficient-array representation; index k lives at k + cap."""
+    """Harmonics lo .. lo + len(band) - 1 of data capped at |k| <= cap; zero elsewhere.
 
-    cap: int
-    data: np.ndarray
+    The band is trimmed to its nonzero ends and is empty for zero data.
+    FourierOneForm(cap, data) takes dense coefficients over -cap..cap; a
+    given lo marks data as a band that already lies inside the cap.
+    """
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=complex)
-        if arr.shape != (2 * self.cap + 1,):
-            raise ValueError(f"need {2 * self.cap + 1} coefficients for cap {self.cap}")
-        arr = arr.copy()
+    __slots__ = ("cap", "lo", "band")
+
+    def __init__(self, cap: int, data, lo: int | None = None) -> None:
+        if lo is None:
+            data = np.array(data, dtype=complex)
+            if data.shape != (2 * cap + 1,):
+                raise ValueError(f"need {2 * cap + 1} coefficients for cap {cap}")
+            lo = -cap
+        nz = data.nonzero()[0]
+        if nz.size:
+            lo, data = lo + int(nz[0]), data[nz[0] : nz[-1] + 1]
+        else:
+            lo, data = 0, data[:0]
+        data.setflags(write=False)
+        self.cap, self.lo, self.band = cap, lo, data
+
+    @property
+    def data(self) -> np.ndarray:
+        """Dense read-only coefficients over -cap..cap; index k lives at k + cap."""
+        arr = np.zeros(2 * self.cap + 1, dtype=complex)
+        arr[self.lo + self.cap : self.lo + self.cap + self.band.size] = self.band
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        return arr
 
     def coefficient(self, k: int) -> complex:
-        if abs(k) > self.cap:
-            return 0j
-        return complex(self.data[k + self.cap])
+        i = k - self.lo
+        return complex(self.band[i]) if 0 <= i < self.band.size else 0j
+
+    def perturbation(self, cutoff: int):
+        """The harmonics 1 <= |k| <= cutoff of this data."""
+        lo = max(self.lo, -cutoff)
+        hi = max(min(self.lo + self.band.size, cutoff + 1), lo)
+        band = self.band[lo - self.lo : hi - self.lo].copy()
+        if lo <= 0 < hi:
+            band[-lo] = 0.0
+        return type(self)(self.cap, band, lo)
 
     @classmethod
     def from_coefficients(cls, entries: dict[int, complex], cap: int):
-        arr = np.zeros(2 * cap + 1, dtype=complex)
+        lo, hi = min(entries, default=0), max(entries, default=0)
+        if max(-lo, hi) > cap:
+            raise ValueError(f"harmonic {lo if -lo > hi else hi} outside cap {cap}")
+        arr = np.zeros(hi - lo + 1, dtype=complex)
         for k, v in entries.items():
-            if abs(k) > cap:
-                raise ValueError(f"harmonic {k} outside cap {cap}")
-            arr[k + cap] = v
-        return cls(cap, arr)
+            arr[k - lo] = v
+        return cls(cap, arr, lo)
 
     @classmethod
     def from_cos(cls, terms: dict[int, float], cap: int):
         """Real combination sum amp * cos(k theta); k = 0 maps to the mean."""
-        arr = np.zeros(2 * cap + 1, dtype=complex)
+        coefficients: dict[int, float] = {}
         for k, amp in terms.items():
-            if k == 0:
-                arr[cap] += amp
-            else:
-                arr[cap + k] += amp / 2.0
-                arr[cap - k] += amp / 2.0
-        return cls(cap, arr)
+            for j, c in ((0, amp),) if k == 0 else ((k, amp / 2.0), (-k, amp / 2.0)):
+                coefficients[j] = coefficients.get(j, 0.0) + c
+        return cls.from_coefficients(coefficients, cap)
 
 
 class FourierOneForm(_TrigData):
@@ -108,19 +131,37 @@ class CircleVectorField(_TrigData):
     """f(theta) d/dtheta with the same harmonic representation."""
 
 
-def _convolve_truncate(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
-    """Product over -cap..cap: the nonzero bands convolved, placed and clipped to the cap."""
-    out = np.zeros(2 * cap + 1, dtype=complex)
-    nz_a, nz_b = np.flatnonzero(a), np.flatnonzero(b)
-    if nz_a.size == 0 or nz_b.size == 0:
-        return out
-    lo_a, lo_b = nz_a[0], nz_b[0]
-    band = np.convolve(a[lo_a : nz_a[-1] + 1], b[lo_b : nz_b[-1] + 1])
-    start = lo_a + lo_b - cap  # array index of the band's lowest harmonic
-    first, last = max(start, 0), min(start + len(band), len(out))
-    if first < last:
-        out[first:last] = band[first - start : last - start]
-    return out
+def _aligned(forms):
+    """The bands zero-padded over the union of the occupied ranges: (lo, arrays)."""
+    live = [f for f in forms if f.band.size] or forms[:1]
+    lo = min(f.lo for f in live)
+    size = max(f.lo + f.band.size for f in live) - lo
+    arrays = []
+    for f in forms:
+        arr = np.zeros(size, dtype=complex)
+        arr[f.lo - lo : f.lo - lo + f.band.size] = f.band
+        arrays.append(arr)
+    return lo, arrays
+
+
+def _sum(forms) -> FourierOneForm:
+    lo, arrays = _aligned(forms)
+    return FourierOneForm(forms[0].cap, sum(arrays), lo)
+
+
+def _difference(a, b) -> FourierOneForm:
+    lo, (x, y) = _aligned([a, b])
+    return FourierOneForm(a.cap, x - y, lo)
+
+
+def _convolve_truncate(a: _TrigData, b: _TrigData) -> tuple[int, np.ndarray]:
+    """Product of two bands, clipped to |k| <= cap: (lowest harmonic, band)."""
+    if not (a.band.size and b.band.size):
+        return 0, np.zeros(0, dtype=complex)
+    band = np.convolve(a.band, b.band)
+    lo = a.lo + b.lo
+    first, last = max(lo, -a.cap), min(lo + band.size, a.cap + 1)
+    return first, band[first - lo : max(last, first) - lo]
 
 
 def cos_coefficient(w: _TrigData, k: int) -> float:
@@ -138,8 +179,8 @@ def lie_derivative_oneform(v: CircleVectorField, w: FourierOneForm) -> FourierOn
     """
     if v.cap != w.cap:
         raise ValueError("harmonic caps must match")
-    product = _convolve_truncate(w.data, v.data, w.cap)
-    return FourierOneForm(w.cap, product * (1j * np.arange(-w.cap, w.cap + 1)))
+    lo, product = _convolve_truncate(w, v)
+    return FourierOneForm(w.cap, product * (1j * np.arange(lo, lo + product.size)), lo)
 
 
 def solve_homological(beta: FourierOneForm, cutoff: int) -> CircleVectorField:
@@ -151,16 +192,18 @@ def solve_homological(beta: FourierOneForm, cutoff: int) -> CircleVectorField:
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    scale = float(np.max(np.abs(beta.data))) or 1.0
+    scale = float(np.max(np.abs(beta.band), initial=0.0)) or 1.0
     if abs(beta.coefficient(0)) > MEAN_TOL * scale:
         raise MeanObstructionError(
             f"mean coefficient {beta.coefficient(0)!r} cannot be eliminated"
         )
-    arr = np.zeros(2 * beta.cap + 1, dtype=complex)
-    for k in range(1, min(cutoff, beta.cap) + 1):
-        arr[beta.cap + k] = -beta.coefficient(k) / (1j * k)
-        arr[beta.cap - k] = -beta.coefficient(-k) / (1j * -k)
-    return CircleVectorField(beta.cap, arr)
+    target = beta.perturbation(cutoff)
+    arr = np.zeros(target.band.size, dtype=complex)
+    for i, c in enumerate(target.band.tolist()):
+        k = target.lo + i
+        if k:
+            arr[i] = -c / (1j * k)
+    return CircleVectorField(beta.cap, arr, target.lo)
 
 
 def lie_exp_terms(v: CircleVectorField, w: FourierOneForm, order: int) -> list[FourierOneForm]:
@@ -171,7 +214,7 @@ def lie_exp_terms(v: CircleVectorField, w: FourierOneForm, order: int) -> list[F
     current = w
     for j in range(1, order + 1):
         current = lie_derivative_oneform(v, current)
-        current = FourierOneForm(current.cap, current.data / j)
+        current = FourierOneForm(current.cap, current.band / j, current.lo)
         terms.append(current)
     return terms
 
@@ -190,11 +233,7 @@ def oneform_lie_exp(
         order = w.cap
     if order < 1:
         raise ValueError("order must be >= 1")
-    terms = lie_exp_terms(v, w, order)
-    total = np.zeros(2 * w.cap + 1, dtype=complex)
-    for term in terms:
-        total = total + term.data
-    return FourierOneForm(w.cap, total)
+    return _sum(lie_exp_terms(v, w, order))
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +245,21 @@ def _log_weight(k: np.ndarray, t: float) -> np.ndarray:
     """log of the strip weight sinh(2|k|t)/|k| (2t at k = 0), elementwise."""
     ak = np.abs(k)
     nonzero = np.maximum(ak, 1)
-    return np.where(ak == 0, math.log(2.0 * t), _log_sinh(2.0 * nonzero * t) - np.log(nonzero))
+    with np.errstate(over="ignore"):  # 2|k|t beyond the float range weighs +inf
+        return np.where(ak == 0, math.log(2.0 * t), _log_sinh(2.0 * nonzero * t) - np.log(nonzero))
 
 
 def strip_l2_log_norm(w: FourierOneForm, t: float) -> float:
-    """log of the strip L2 norm; -inf for zero data."""
+    """log of the strip L2 norm; -inf for zero data, +inf once a weight leaves the float range."""
     if t <= 0.0:
         raise ValueError("strip half-width must be positive")
-    idx = np.flatnonzero(w.data)
+    idx = w.band.nonzero()[0]
     if idx.size == 0:
         return -math.inf
-    logs = 2.0 * np.log(np.abs(w.data[idx])) + _log_weight(idx - w.cap, t)
+    logs = 2.0 * np.log(np.abs(w.band[idx])) + _log_weight(idx + w.lo, t)
     hi = float(logs.max())
+    if hi == math.inf:
+        return math.inf
     return 0.5 * (hi + math.log(math.fsum(np.exp(logs - hi).tolist())))
 
 
@@ -245,7 +287,7 @@ def tail_decay_check(w: FourierOneForm, n: int, s: float, t: float) -> TailDecay
     if not (0.0 < s < t):
         raise ValueError("need 0 < s < t")
     min_support = 2**n
-    support = np.flatnonzero(w.data) - w.cap
+    support = np.flatnonzero(w.band) + w.lo
     low = support[np.abs(support) < min_support]
     if low.size:
         raise SupportError(f"harmonic {low[0]} below the required support 2^{n}")

@@ -167,6 +167,25 @@ def test_strip_norm_large_cap_no_overflow():
     )
 
 
+def test_strip_norm_is_infinite_when_the_weight_leaves_the_float_range(capsys):
+    # 2|k|t overflows at t = 1e308: the norm is +inf, with no nan and no numpy warning
+    import json
+    import warnings
+
+    from scale_iter import cli
+    from scale_iter.fourier import strip_l2_log_norm
+
+    cfg = {"command": "circle", "eps": 0.5, "steps": 3, "cap": 16, "order": 2, "strip_width": 1e308}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert strip_l2_log_norm(FourierOneForm.from_cos({0: 1.0, 1: 0.5}, 16), 1e308) == math.inf
+        assert cli.run(cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    steps = json.loads(captured.out)["report"]["steps"]
+    assert [step["residual"] for step in steps] == [math.inf] * 3
+
+
 def test_tail_decay_single_harmonic():
     w = FourierOneForm.from_coefficients({4: 1}, 8)
     rep = tail_decay_check(w, 2, 0.4, 0.5)

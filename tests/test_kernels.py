@@ -38,6 +38,7 @@ from scale_iter.engines import (
     quasi_newton_run,
 )
 from scale_iter.fourier import (
+    CircleVectorField,
     FourierOneForm,
     _convolve_truncate,
     cos_coefficient,
@@ -503,13 +504,26 @@ def _convolution_cases(rng):
 def test_band_convolution_matches_dense():
     rng = np.random.default_rng(11)
     for cap, a, b in _convolution_cases(rng):
-        got = _convolve_truncate(a, b, cap)
+        lo, band = _convolve_truncate(FourierOneForm(cap, a), CircleVectorField(cap, b))
+        assert band.size == 0 or (-cap <= lo and lo + band.size <= cap + 1)
+        got = np.zeros(2 * cap + 1, dtype=complex)
+        got[lo + cap : lo + cap + band.size] = band
         want = dense_convolve_truncate(a, b, cap)
-        assert got.shape == want.shape == (2 * cap + 1,)
         scale = float(np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, (cap, np.flatnonzero(a), np.flatnonzero(b))
         # outside the occupied band the product is exactly zero, as the dense one is
         assert np.array_equal(np.flatnonzero(got), np.flatnonzero(want))
+
+
+def test_band_round_trip():
+    rng = np.random.default_rng(13)
+    for cap, a, b in _convolution_cases(rng):
+        for data in (a, b):
+            w = FourierOneForm(cap, data)
+            assert np.array_equal(w.data, data) and not w.data.flags.writeable
+            assert w.band.size == 0 or (w.band[0] != 0 and w.band[-1] != 0)
+            for k in range(-cap - 1, cap + 2):
+                assert w.coefficient(k) == (data[k + cap] if abs(k) <= cap else 0j), (cap, k)
 
 
 def test_vectorised_strip_norm_matches_loop():
