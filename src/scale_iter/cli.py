@@ -187,7 +187,7 @@ def _coefficients(entries, key: str, mode: str) -> dict:
         if isinstance(value, bool):
             raise ConfigError(f"{name} must be a number or a string")
         if mode == "float":
-            parsed[int(deg)] = complex(_number({name: float(value)}, name))
+            parsed[int(deg)] = _number({name: float(value)}, name)
             continue
         exponent = _DECIMAL_EXPONENT.search(value) if isinstance(value, str) else None
         if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:

@@ -7,17 +7,19 @@ assumptions to monitor: violations are flagged in the report rather than
 aborting, since probing those hypotheses is the point of running them.
 Exact Newton runs on integers: X = integral(x) and Q = X^2/2 - integral(y)
 are numerators over one denominator each, the residual is Q', the
-correction Xi = integral(xi) is the division Q / X with one Fraction per
-row, and a step updates Q by (Q - X Xi) + Xi^2/2 without re-squaring X.
+correction Xi = integral(xi) is the division Q / X with one gcd per row,
+and a step updates Q by (Q - X Xi) + Xi^2/2 without re-squaring X.
 That state is the only place the (X^2/2)' and (X Xi)' forms are computed;
 eps_integral_map and linearization_action take the two-product forms
 x * integral(x) and x * integral(xi) + xi * integral(x) in both modes.
+Float Newton solves with one table of row weights built per run.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
@@ -384,52 +386,68 @@ def eps_integral_map(x: TruncatedPowerSeries) -> TruncatedPowerSeries:
     return ps_mul(x, integral)
 
 
-def _solve_linearization(
-    x: TruncatedPowerSeries, rhs: TruncatedPowerSeries, drop_top: int, step: int
-) -> TruncatedPowerSeries:
-    """Float triangular solve of linearization_action(x, xi) = rhs.
+def _solve_weights(rows: int) -> list[array]:
+    """Row m of the float solve: (m+2)/((j+1)(m-j+1)) for j = 0..m, the last one the diagonal's (m+2)/(m+1).
 
-    Row m + 1 determines xi_m with diagonal x_0 (m+2)/(m+1); the drop_top
-    highest rows can be discarded to produce a deliberately approximate
+    Rows are arrays of doubles, a third of the memory of lists of floats.
+    """
+    return [array("d", [(m + 2) / ((j + 1) * (m - j + 1)) for j in range(m + 1)]) for m in range(rows)]
+
+
+def _solve_linearization(
+    x: TruncatedPowerSeries, rhs: TruncatedPowerSeries, weights: list[array], step: int
+) -> TruncatedPowerSeries:
+    """Float triangular solve of linearization_action(x, xi) = rhs on the rows of weights.
+
+    Row m + 1 determines xi_m with diagonal x_0 (m+2)/(m+1); a table of
+    fewer than D rows leaves the top xi at zero, a deliberately approximate
     inverse.  Exact runs divide on integers instead (_divide).  The map is
     homogeneous, so only an exactly zero x_0 is singular, as in _divide.
     """
     D = x.truncation
-    x0 = x.coefficients[0]
+    coeffs = x.coefficients
+    x0 = coeffs[0]
     if x0 == 0:
         raise SingularLinearizationError(step)
 
-    xi = [0j] * (D + 1)
-    for m in range(D - drop_top):
-        # (Dxi)_(m+1) = sum_j xi_j x_(m-j) (1/(j+1) + 1/(m-j+1))
+    xi: list[float] = []
+    for m, row in enumerate(weights):
+        # (Dxi)_(m+1) = sum_j xi_j x_(m-j) (1/(j+1) + 1/(m-j+1)), summed in the order of j
         acc = rhs.coefficients[m + 1]
-        for j in range(m):
-            acc = acc - xi[j] * x.coefficients[m - j] * ((m + 2) / ((j + 1) * (m - j + 1)))
-        xi[m] = acc / (x0 * ((m + 2) / (m + 1)))
-    return TruncatedPowerSeries(D, "float", tuple(xi))
+        for a, b, w in zip(xi, coeffs[m:0:-1], row):
+            acc = acc - a * b * w
+        xi.append(acc / (x0 * row[m]))
+    return TruncatedPowerSeries(D, "float", (*xi, *[0.0] * (D + 1 - len(xi))))
 
 
 def _divide(nq: list[int], dq: int, nx: list[int], dx: int, rows: int, step: int) -> tuple[list[int], int]:
     """The first `rows` coefficients a_m of Q / X, as numerators over one growing denominator da.
 
     nq[m] / dq is Q at degree m + 2 and nx[k] / dx is X at degree k + 1.  Row m
-    reads x_0 a_m + S = Q_(m+2) with x_0 = X_1, where S, the sum of
-    a_j X_(m+1-j) over j < m, is an integer convolution; a_m is one Fraction.
+    reads x_0 a_m + S = Q_(m+2) with x_0 = X_1 = p0 / dx, where S, the sum of
+    a_j X_(m+1-j) over j < m, is an integer convolution s over da dx.  So
+    a_m da = (nq[m] da dx - s dq) / (dq p0); one gcd with dq p0 reduces it and
+    leaves the factor da must grow by, which keeps da the least common
+    denominator.  Rows below the valuation v of Q are zero, so the solve
+    starts at row v.
     """
     p0 = nx[0]
     if p0 == 0:
         raise SingularLinearizationError(step)
+    v = next((m for m, q in enumerate(nq[:rows]) if q), rows)
+    d0 = dq * p0
     na: list[int] = []
     da = 1
-    for m in range(rows):
-        s = sum(map(operator.mul, na, nx[m:0:-1]))
-        a = Fraction(nq[m] * da * dx - s * dq, dq * da * p0)
-        if da % a.denominator:
-            grow = a.denominator // math.gcd(da, a.denominator)
+    for m in range(v, rows):
+        s = sum(map(operator.mul, na, nx[m - v : 0 : -1]))
+        num = nq[m] * da * dx - s * dq
+        g = math.gcd(num, d0)
+        num, grow = (num // g, d0 // g) if d0 > 0 else (-num // g, -d0 // g)
+        if grow > 1:
             na = [n * grow for n in na]
             da *= grow
-        na.append(a.numerator * (da // a.denominator))
-    return na, da
+        na.append(num)
+    return [0] * v + na, da
 
 
 def _combine(nu: list[int], du: int, nv: list[int], dv: int, sign: int) -> tuple[list[int], int]:
@@ -450,17 +468,23 @@ def _derivative(nq: list[int], dq: int) -> tuple[list[int], int]:
 
 
 class _FloatNewton:
-    """Float Newton state: x and the residual x * integral(x) - y as series."""
+    """Float Newton state: x and the residual x * integral(x) - y as series.
+
+    drift is the initial x0 * integral(x0) - x0; the solve weights are built once.
+    """
 
     norm = staticmethod(ps_norm)
     valuation = staticmethod(operator.attrgetter("valuation"))
 
-    def __init__(self, x0: TruncatedPowerSeries, residual0: TruncatedPowerSeries, y: TruncatedPowerSeries, defect: int):
-        self.x, self.residual, self.y, self.defect = x0, residual0, y, defect
+    def __init__(self, x0: TruncatedPowerSeries, y: TruncatedPowerSeries, defect: int):
+        self.x, self.y = x0, y
+        image0 = eps_integral_map(x0)
+        self.residual, self.drift = image0 - y, image0 - x0
+        self.weights = _solve_weights(x0.truncation - defect)
 
     def step(self, n: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
         """Move to x - xi; return xi and the defect residual - L(x) xi."""
-        xi = _solve_linearization(self.x, self.residual, self.defect, n)
+        xi = _solve_linearization(self.x, self.residual, self.weights, n)
         defect = self.residual - linearization_action(self.x, xi)
         self.x = self.x - xi
         self.residual = eps_integral_map(self.x) - self.y
@@ -478,17 +502,23 @@ class _ExactNewton:
     X Xi = Q row by row.  A step sets X <- X - Xi and Q <- (Q - X Xi) + Xi^2/2,
     which is (X - Xi)^2/2 - integral(y) in the truncated ring.  x_D stays
     aside, since the solve never writes xi_D.  Series handed to the loop are
-    (numerators at degrees 0..D, denominator) pairs.
+    (numerators at degrees 0..D, denominator) pairs; drift is the initial
+    (X^2/2)' - x0, which is x0 * integral(x0) - x0.
     """
 
     norm = staticmethod(lambda f, t: _numerator_norm(*f, t))
     valuation = staticmethod(lambda f: next((k for k, n in enumerate(f[0]) if n), len(f[0])))
 
-    def __init__(self, x0: TruncatedPowerSeries, residual0: TruncatedPowerSeries, y: TruncatedPowerSeries, defect: int):
-        self.D, self.rows, self.top = x0.truncation, x0.truncation - defect, x0.coefficients[-1]
-        self.nx, self.dx = _integral_numerators(x0)
-        self.nq, self.dq = _common_denominator([c / (m + 2) for m, c in enumerate(residual0.coefficients[1:])])
+    def __init__(self, x0: TruncatedPowerSeries, y: TruncatedPowerSeries, defect: int):
+        D = x0.truncation
+        self.D, self.rows, self.top = D, D - defect, x0.coefficients[-1]
+        self.nx, self.dx = _integral_numerators(x0.coefficients[:-1])
+        # X^2/2 at degrees 2..D+1; integral(y) starts at degree 2, since y_0 = 0
+        nsq, dsq = _cauchy_square(self.nx, D - 1), 2 * self.dx * self.dx
+        ny, dy = _integral_numerators(y.coefficients)
+        self.nq, self.dq = _combine(nsq, dsq, ny[1:], dy, -1)
         self.residual = _derivative(self.nq, self.dq)
+        self.drift = _combine(*_derivative(nsq, dsq), *_common_denominator(x0.coefficients), -1)
 
     def step(self, n: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
         """Move to X - Xi; return xi and the defect (Q - X Xi)'."""
@@ -548,11 +578,10 @@ def _newton_loop(
         return schedule.radius(idx)
 
     D = x0.truncation
-    image0 = eps_integral_map(x0)
-    residual0 = image0 - y
-    newton = (_ExactNewton if x0.mode == "exact" else _FloatNewton)(x0, residual0, y, defect)
+    newton = (_ExactNewton if x0.mode == "exact" else _FloatNewton)(x0, y, defect)
+    residual0 = newton.residual
     records: list[StepRecord] = []
-    valuations = [newton.valuation(newton.residual)]
+    valuations = [newton.valuation(residual0)]
     for n in range(steps):
         if valuations[-1] > D:  # zero residual
             break
@@ -604,8 +633,8 @@ def _newton_loop(
             "norm_radius": norm_radius,
             "defect": defect,
             "final_residual_norm": final_norm,
-            "initial_residual_norm": ps_norm(residual0, norm_radius),
-            "initial_drift_norm": ps_norm(image0 - x0, norm_radius),
+            "initial_residual_norm": newton.norm(residual0, norm_radius),
+            "initial_drift_norm": newton.norm(newton.drift, norm_radius),
             "defect_ratio_max": max(
                 (r.extras["defect_ratio"] for r in records), default=0.0
             ),

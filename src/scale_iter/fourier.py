@@ -282,7 +282,9 @@ def tail_decay_check(w: FourierOneForm, n: int, s: float, t: float) -> TailDecay
     """Norm ratio between strips for data supported on harmonics |k| >= 2^n.
 
     Checks ratio = |w|_s / |w|_t <= exp(2^(n-1) (s - t)) and, along the way,
-    that k -> sinh(2ks)/sinh(2kt) is decreasing over the support range.
+    that k -> sinh(2ks)/sinh(2kt) is decreasing over the support range.  Past
+    the float range the log bound saturates to -inf, and log-sinh ratios that
+    saturate to the same -inf do not count as decreasing.
     """
     if not (0.0 < s < t):
         raise ValueError("need 0 < s < t")
@@ -292,9 +294,14 @@ def tail_decay_check(w: FourierOneForm, n: int, s: float, t: float) -> TailDecay
     if low.size:
         raise SupportError(f"harmonic {low[0]} below the required support 2^{n}")
     log_ratio = strip_l2_log_norm(w, s) - strip_l2_log_norm(w, t)
-    log_bound = math.ldexp(s - t, n - 1)
+    try:
+        log_bound = math.ldexp(s - t, n - 1)
+    except OverflowError:  # s - t < 0
+        log_bound = -math.inf
     k = np.arange(max(min_support, 1), w.cap + 1)
-    r = _log_sinh(2.0 * k * s) - _log_sinh(2.0 * k * t)
-    monotone = bool(np.all(np.diff(r) < 0.0))
+    # 2ks or 2kt beyond the float range has a log-sinh of +inf; inf - inf is nan, which compares False
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _log_sinh(2.0 * k * s) - _log_sinh(2.0 * k * t)
+    monotone = bool(np.all(r[1:] < r[:-1]))
     ratio = math.exp(log_ratio)
     return TailDecayReport(ratio, math.exp(log_bound), log_ratio <= log_bound, monotone)

@@ -3,7 +3,7 @@
 Series live in the quotient ring C[z]/(z^(D+1)) for a fixed truncation D.
 Exact mode stores real coefficients as Fractions so golden computations are
 reproducible bit for bit; its Cauchy product runs on integer numerators over
-one common denominator.  Float mode stores complex doubles.  The disk norm
+one common denominator.  Float mode stores real doubles.  The disk norm
 is the coefficient majorant sum |c_k| t^k, which dominates the true sup on
 the disk of radius t.  The Lie exponential of a derivation g d/dz with
 valuation(g) at least 2 terminates exactly at the truncation, which is what
@@ -50,7 +50,7 @@ class GeneratorValuationError(ValueError):
     """Lie exponential requested for a generator of valuation <= 1."""
 
 
-Coeff = Union[Fraction, complex]
+Coeff = Union[Fraction, float]
 
 _F0 = Fraction(0)
 
@@ -67,14 +67,14 @@ def _common_denominator(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _integral_numerators(f: "TruncatedPowerSeries") -> tuple[list[int], int]:
-    """Integer numerators of integral(f) at degrees 1..D over their least common denominator.
+def _integral_numerators(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of the integral of exact coefficients c_0, c_1, ... at degrees 1, 2, ...
 
-    Degree k carries f_(k-1)/k, reduced by one small gcd instead of a Fraction
-    division; the degree-D coefficient of f would land at D + 1 and is left out.
+    Degree k carries c_(k-1)/k over the least common denominator, reduced by
+    one small gcd instead of a Fraction division.
     """
     nums, dens = [], []
-    for k, c in enumerate(f.coefficients[:-1], 1):
+    for k, c in enumerate(coeffs, 1):
         g = math.gcd(c.numerator, k)
         nums.append(c.numerator // g)
         dens.append(c.denominator * (k // g))
@@ -126,7 +126,7 @@ class TruncatedPowerSeries:
 
     @classmethod
     def zero(cls, truncation: int, mode: str = "exact") -> "TruncatedPowerSeries":
-        z: Coeff = _F0 if mode == "exact" else 0j
+        z: Coeff = _F0 if mode == "exact" else 0.0
         return cls(truncation, mode, tuple(z for _ in range(truncation + 1)))
 
     @classmethod
@@ -137,7 +137,7 @@ class TruncatedPowerSeries:
         for deg, val in entries.items():
             if not 0 <= deg <= truncation:
                 raise ValueError(f"degree {deg} outside truncation {truncation}")
-            coeffs[deg] = Fraction(val) if mode == "exact" else complex(val)  # type: ignore[arg-type]
+            coeffs[deg] = Fraction(val) if mode == "exact" else float(val)  # type: ignore[arg-type]
         return cls(truncation, mode, tuple(coeffs))
 
     @classmethod
@@ -169,7 +169,7 @@ class TruncatedPowerSeries:
         return TruncatedPowerSeries(
             self.truncation,
             "float",
-            tuple(complex(float(c)) for c in self.coefficients),
+            tuple(float(c) for c in self.coefficients),
         )
 
     # ---- operators -----------------------------------------------------
@@ -211,7 +211,7 @@ def ps_mul(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedPowerSe
     _check_compatible(f, g)
     D, mode = f.truncation, f.mode
     if mode == "float":
-        return TruncatedPowerSeries(D, mode, tuple(_cauchy(f.coefficients, g.coefficients, D, 0j)))
+        return TruncatedPowerSeries(D, mode, tuple(_cauchy(f.coefficients, g.coefficients, D, 0.0)))
     nf, df = _common_denominator(f.coefficients)
     ng, dg = _common_denominator(g.coefficients)
     den = df * dg
@@ -241,7 +241,7 @@ def ps_antiderive(f: TruncatedPowerSeries) -> tuple[TruncatedPowerSeries, bool]:
     and the returned flag says whether anything nonzero was lost.
     """
     D, mode = f.truncation, f.mode
-    zero, inverse = (_F0, Fraction) if mode == "exact" else (0j, operator.truediv)
+    zero, inverse = (_F0, Fraction) if mode == "exact" else (0.0, operator.truediv)
     out = (zero, *(c * inverse(1, k) for k, c in enumerate(f.coefficients[:D], 1)))
     return TruncatedPowerSeries(D, mode, out), bool(f.coefficients[D])
 

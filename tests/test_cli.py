@@ -679,6 +679,19 @@ def test_ceilings_reject_one_past_each_limit(capsys):
         assert json.loads(captured.out)["command"] == cfg["command"], cfg
 
 
+def test_float_newton_past_the_float_range_reads_infinity(capsys):
+    # step 0 sends the residual to inf; step 1's correction then holds +inf and
+    # -inf, so its norm is inf (on complex coefficients one of them was nan+nanj
+    # and the norm read nan).  The run still diverges and exits 2
+    cfg = {"command": "newton", "mode": "float", "truncation": 4, "y": {"1": 1.0, "2": 1e200}}
+    assert cli.run(cfg) == 2
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["verdict"] == "diverged"
+    assert [step["step_norm"] for step in report["steps"][:2]] == [3.3333333333333334e199, math.inf]
+    assert report["steps"][0]["residual"] == math.inf
+    assert all(math.isnan(step["step_norm"]) for step in report["steps"][2:])
+
+
 def test_numbers_reject_bools_and_non_finite_values():
     base = {"command": "circle", "eps": 0.1, "steps": 2, "cap": 16}
     for value in (True, NAN, INF, -INF, "0.5", None):

@@ -194,6 +194,22 @@ def test_tail_decay_single_harmonic():
     assert rep.ok and rep.sinh_ratio_monotone
 
 
+def test_tail_decay_saturates_past_the_float_range():
+    # at t = 1e308 the log bound 2^(n-1) (s - t) overflows and 2kt leaves the
+    # float range; at 1e307 only the log-sinh tail overflows.  Both saturate,
+    # with no exception and no numpy warning
+    import warnings
+
+    w = FourierOneForm.from_coefficients({4: 1}, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near = tail_decay_check(w, 2, 0.5, 1e307)
+        far = tail_decay_check(w, 2, 0.5, 1e308)
+    assert (near.ratio, near.bound, near.ok, near.sinh_ratio_monotone) == (0.0, 0.0, True, True)
+    # every log-sinh ratio is -inf at 1e308, so the decrease cannot be seen
+    assert (far.ratio, far.bound, far.ok, far.sinh_ratio_monotone) == (0.0, 0.0, True, False)
+
+
 def test_tail_decay_ratio_continuity_near_equal_radii():
     w = FourierOneForm.from_coefficients({4: 1}, 8)
     rep = tail_decay_check(w, 2, 0.499999, 0.5)

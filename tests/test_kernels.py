@@ -4,15 +4,18 @@ The exact Cauchy product and the exact Newton division run on integer
 numerators over common denominators; here they are compared with direct
 Fraction loops, and the exact model map x * integral(x) and its
 linearization, built from ps_antiderive and ps_mul, with their two-product
-Fraction forms.  Exact Newton keeps its whole state on integers, so newton_invert and quasi_newton_run are compared, report float
-for report float, with a Fraction Newton loop built from the public
-eps_integral_map, linearization_action and ps_norm.  The float series kernels keep their
-summation order, so they are compared bit for bit with the loops they
-replaced.  The Fourier product convolves only the occupied bands and the
-strip norm is one array expression; both change rounding, so they are
-compared with the dense convolution and the per-harmonic loop within
-tolerances fixed beforehand, and circle_run is compared with a dense copy of
-itself.
+Fraction forms.  Exact Newton keeps its whole state on integers, so
+newton_invert and quasi_newton_run are compared, report float for report
+float, with a Fraction Newton loop built from the public eps_integral_map,
+linearization_action and ps_norm; its integer prologue and its row division
+are compared with their Fraction forms too.  Float series hold real doubles
+and their kernels keep their summation order, so they are compared bit for
+bit with the loops they replaced, and float Newton with a copy of itself on
+complex coefficients.  The Fourier product convolves only the occupied
+bands and the strip norm is one array expression; both change rounding, so
+they are compared with the dense convolution and the per-harmonic loop
+within tolerances fixed beforehand, and circle_run is compared with a dense
+copy of itself.
 """
 
 import math
@@ -30,7 +33,9 @@ from scale_iter.engines import (
     StepRecord,
     _defect_ratio,
     _divide,
+    _ExactNewton,
     _solve_linearization,
+    _solve_weights,
     _verdict_from_steps,
     circle_run,
     eps_integral_map,
@@ -66,15 +71,13 @@ def _random_exact(rng, D, density=0.8):
 
 
 def _random_float(rng, D, density=0.8):
-    coeffs = [
-        complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) if rng.random() < density else 0j
-        for _ in range(D + 1)
-    ]
+    coeffs = [rng.uniform(-2, 2) if rng.random() < density else 0.0 for _ in range(D + 1)]
     return TruncatedPowerSeries(D, "float", tuple(coeffs))
 
 
 def _bits(coeffs):
-    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
+    """float.hex of each coefficient; a complex coefficient has no hex and fails here."""
+    return [c.hex() for c in coeffs]
 
 
 # ---- plain-loop references -------------------------------------------------
@@ -138,7 +141,7 @@ def division_kernel_solve(x, rhs, drop_top, step=0):
 
 def loop_float_mul(f, g):
     D = f.truncation
-    out = [0j] * (D + 1)
+    out = [0.0] * (D + 1)
     for i, a in enumerate(f.coefficients):
         if a == 0:
             continue
@@ -152,7 +155,7 @@ def loop_float_mul(f, g):
 
 def loop_float_solve(x, rhs, drop_top):
     D = x.truncation
-    xi = [0j] * (D + 1)
+    xi = [0.0] * (D + 1)
     for m in range(D - drop_top):
         acc = rhs.coefficients[m + 1]
         for j in range(0, m):
@@ -275,7 +278,7 @@ def test_float_antiderive_bit_identical_to_loop():
     for _ in range(40):
         D = rng.randint(0, 60)
         f = _random_float(rng, D, rng.choice([0.3, 0.8, 1.0]))
-        want = [0j] * (D + 1)
+        want = [0.0] * (D + 1)
         for k in range(D):
             q = Fraction(1, k + 1)
             want[k + 1] = f.coefficients[k] * (q.numerator / q.denominator)
@@ -291,7 +294,7 @@ def test_float_solve_bit_identical_to_loop(drop_top):
         D = rng.randint(2, 48)
         x = _random_float(rng, D, 1.0)
         rhs = _random_float(rng, D)
-        xi = _solve_linearization(x, rhs, drop_top, 0)
+        xi = _solve_linearization(x, rhs, _solve_weights(D - drop_top), 0)
         assert _bits(xi.coefficients) == _bits(loop_float_solve(x, rhs, drop_top))
 
 
@@ -429,7 +432,178 @@ def test_defect_is_its_own_product_not_the_solve(monkeypatch):
     assert first.residual == ps_norm(eps_integral_map(x0 - xi) - y, radius)
 
 
-# ---- exact mode is real-only -----------------------------------------------
+def fraction_division(nq, dq, nx, dx, rows):
+    """Row m of Q / X as one Fraction: a_m = (Q_(m+2) - sum_(j<m) a_j X_(m+1-j)) / X_1."""
+    q = [Fraction(n, dq) for n in nq]
+    x = [Fraction(n, dx) for n in nx]
+    a = []
+    for m in range(rows):
+        a.append((q[m] - sum(a[j] * x[m - j] for j in range(m))) / x[0])
+    return a
+
+
+def _division_cases(rng):
+    for _ in range(60):
+        D = rng.randint(2, 24)
+        rows = D - rng.choice([0, 0, 1, 2])
+        nx = [rng.choice([0, 1]) * rng.randint(-50, 50) for _ in range(D)]
+        nx[0] = rng.choice([1, -1]) * rng.randint(1, 40)
+        nq = [rng.randint(-10**6, 10**6) if rng.random() < 0.8 else 0 for _ in range(D)]
+        lead = rng.randint(0, D)  # Q's valuation sits at degree lead + 2
+        nq[:lead] = [0] * lead
+        yield nq, rng.randint(1, 10**4), nx, rng.randint(1, 90), rows
+    for D in (2, 7):
+        yield [0] * D, 3, [5] + [1] * (D - 1), 2, D  # Q = 0
+
+
+def test_divide_matches_fraction_rows():
+    # the integer division starts at Q's valuation and reduces each row by one
+    # gcd; the rows, and the least common denominator they share, are Fraction's
+    leading = 0
+    for nq, dq, nx, dx, rows in _division_cases(random.Random(2718)):
+        want = fraction_division(nq, dq, nx, dx, rows)
+        na, da = _divide(nq, dq, nx, dx, rows, 0)
+        assert len(na) == rows
+        assert [Fraction(n, da) for n in na] == want, (nq, dq, nx, dx, rows)
+        assert da == math.lcm(*(a.denominator for a in want))
+        leading += nq[0] == 0 and any(nq[:rows])
+    assert leading >= 20
+    assert _divide([0, 0, 0], 1, [2, 1, 1], 1, 3, 0) == ([0, 0, 0], 1)
+
+
+def _prologue_cases(rng):
+    for D in (2, 3, 5, 8, 17, 32):
+        for defect in sorted({0, 1, D}):
+            y = {1: Fraction(rng.choice([1, -2, 3]), rng.choice([1, 3]))}
+            for d in rng.sample(range(2, D + 1), min(D - 1, 3)):
+                y[d] = Fraction(rng.randint(-9, 9), rng.choice([1, 4, 7, 10]))
+            # negative and fractional constants, several terms, the top degree included
+            x0 = {0: Fraction(rng.choice([1, -1, -3, 5]), rng.choice([1, 2, 7])), D: Fraction(rng.randint(-9, 9), 11)}
+            for d in rng.sample(range(1, D), min(D - 1, 3)):
+                x0[d] = Fraction(rng.randint(-5, 5), rng.choice([1, 3, 6]))
+            yield TruncatedPowerSeries.from_dict(y, D), TruncatedPowerSeries.from_dict(x0, D), defect
+    big = TruncatedPowerSeries.from_dict({0: Fraction(-(10**200)), 1: 3}, 6)  # norms in the log domain
+    yield TruncatedPowerSeries.from_dict({1: 1, 2: Fraction(1, 10)}, 6), big, 0
+
+
+def test_integer_prologue_matches_fraction_forms():
+    # X, Q, the residual Q' and the drift (X^2/2)' - x0 are built on integers;
+    # they equal the Fraction series x0 * integral(x0) - y and - x0, and so do their norms
+    for y, x0, defect in _prologue_cases(random.Random(1414)):
+        image0 = eps_integral_map(x0)
+        newton = _ExactNewton(x0, y, defect)
+        for state, want in ((newton.residual, image0 - y), (newton.drift, image0 - x0)):
+            nums, den = state
+            assert tuple(Fraction(n, den) for n in nums) == want.coefficients, (y, x0)
+        for radius in (0.2, 0.5, 1.7):
+            meta = run_newton(y, x0, 1, defect, radius).report.meta
+            assert meta["initial_residual_norm"] == ps_norm(image0 - y, radius)
+            assert meta["initial_drift_norm"] == ps_norm(image0 - x0, radius)
+
+
+# ---- float Newton on real doubles against its complex form --------------------
+
+
+def _complex_mul(u, v):
+    """The Cauchy product of complex coefficient lists, with the zero skips of the kernel."""
+    D = len(u) - 1
+    out = [0j] * (D + 1)
+    for i, a in enumerate(u):
+        if a:
+            for k, b in enumerate(v[: D - i + 1], i):
+                if b:
+                    out[k] += a * b
+    return out
+
+
+def _complex_integral(u):
+    return [0j] + [c * (1 / k) for k, c in enumerate(u[:-1], 1)]
+
+
+def _complex_sub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+def complex_newton(y, x0, steps, defect, radius):
+    """Float Newton as it ran on complex coefficients, the solve weights computed inline.
+
+    Returns the per-step report floats, the meta norms, the valuations, the
+    solution and every complex value the run produced.
+    """
+    D = len(x0) - 1
+
+    def norm(f):
+        return math.fsum(abs(c) * radius**k for k, c in enumerate(f) if c)
+
+    def valuation(f):
+        return next((k for k, c in enumerate(f) if c), D + 1)
+
+    def solve(x, rhs):
+        xi = [0j] * (D + 1)
+        for m in range(D - defect):
+            acc = rhs[m + 1]
+            for j in range(m):
+                acc = acc - xi[j] * x[m - j] * ((m + 2) / ((j + 1) * (m - j + 1)))
+            xi[m] = acc / (x[0] * ((m + 2) / (m + 1)))
+        return xi
+
+    image0 = _complex_mul(x0, _complex_integral(x0))
+    x, residual = list(x0), _complex_sub(image0, y)
+    seen = [*image0, *residual]
+    steps_out, valuations = [], [valuation(residual)]
+    for _ in range(steps):
+        if valuations[-1] > D:
+            break
+        xi = solve(x, residual)
+        left, right = _complex_mul(x, _complex_integral(xi)), _complex_mul(xi, _complex_integral(x))
+        linear = [a + b for a, b in zip(left, right)]
+        defect_series = _complex_sub(residual, linear)
+        r_norm = norm(residual)
+        x = _complex_sub(x, xi)
+        residual = _complex_sub(_complex_mul(x, _complex_integral(x)), y)
+        seen += [*xi, *defect_series, *x, *residual]
+        valuations.append(valuation(residual))
+        defect_norm = norm(defect_series)
+        steps_out.append((norm(xi), norm(residual), r_norm, defect_norm, _defect_ratio(defect_norm, r_norm)))
+    meta = (norm(residual), norm(_complex_sub(image0, y)), norm(_complex_sub(image0, x0)))
+    return steps_out, meta, tuple(valuations), x, seen
+
+
+def _float_newton_cases(rng):
+    for D in (2, 3, 5, 8, 16, 32, 64):
+        for defect in sorted({0, 1, 2, D}):
+            y = {1: rng.choice([1.0, -0.5, 2.0])}
+            for d in rng.sample(range(2, D + 1), min(D - 1, 4)):
+                y[d] = rng.uniform(-1, 1)
+            x0 = {0: rng.choice([1.0, -1.5, 0.75])}
+            for d in rng.sample(range(1, D + 1), min(D, 2)):
+                x0[d] = rng.uniform(-0.5, 0.5)
+            yield y, x0, D, rng.randint(1, 8), defect, rng.choice([0.5, 0.2, 0.9, 1.7])
+
+
+def test_float_newton_matches_its_complex_form_bit_for_bit():
+    for y, x0, D, steps, defect, radius in _float_newton_cases(random.Random(3141)):
+        ys = TruncatedPowerSeries.from_dict(y, D, "float")
+        xs = TruncatedPowerSeries.from_dict(x0, D, "float")
+        got = run_newton(ys, xs, steps, defect, radius)
+        steps_out, meta, valuations, x, seen = complex_newton(
+            [complex(c) for c in ys.coefficients], [complex(c) for c in xs.coefficients], steps, defect, radius
+        )
+        case = (y, x0, D, steps, defect, radius)
+        assert all(math.isfinite(c.real) and c.imag == 0.0 for c in seen), case
+        assert got.residual_valuations == valuations, case
+        records = [
+            (r.step_norm, r.residual, r.bound, r.extras["defect_norm"], r.extras["defect_ratio"])
+            for r in got.report.steps
+        ]
+        assert [[v.hex() for v in r] for r in records] == [[v.hex() for v in r] for r in steps_out], case
+        m = got.report.meta
+        got_meta = (m["final_residual_norm"], m["initial_residual_norm"], m["initial_drift_norm"])
+        assert [v.hex() for v in got_meta] == [v.hex() for v in meta], case
+        assert _bits(got.solution.coefficients) == [c.real.hex() for c in x], case
+
+
+# ---- each mode holds one real scalar type -------------------------------------
 
 
 def test_exact_from_dict_rejects_imaginary_parts():
@@ -439,6 +613,17 @@ def test_exact_from_dict_rejects_imaginary_parts():
             TruncatedPowerSeries.from_dict({1: value}, 4)
     f = TruncatedPowerSeries.from_dict({1: 3, 2: "1/2", 3: 0.25}, 4)
     assert f.coefficients == (0, 3, Fraction(1, 2), Fraction(1, 4), 0)
+
+
+def test_float_from_dict_rejects_complex_values():
+    # float series hold real doubles: float() refuses a complex value, even one with a zero imaginary part
+    for value in (1 + 2j, 3 + 0j, 0j):
+        with pytest.raises(TypeError):
+            TruncatedPowerSeries.from_dict({1: value}, 4, "float")
+    f = TruncatedPowerSeries.from_dict({1: 3, 2: Fraction(1, 2), 3: 0.25}, 4, "float")
+    assert f.coefficients == (0.0, 3.0, 0.5, 0.25, 0.0)
+    assert all(type(c) is float for c in f.coefficients + f.to_float().coefficients)
+    assert all(type(c) is float for c in TruncatedPowerSeries.from_dict({1: 1}, 4).to_float().coefficients)
 
 
 # ---- Fourier kernels: plain references ---------------------------------------

@@ -243,11 +243,7 @@ def test_exact_norm_past_the_float_range():
 
 
 def _random_poly(rng, D):
-    return S(
-        {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(D + 1)},
-        D,
-        "float",
-    )
+    return S({k: rng.uniform(-1, 1) for k in range(D + 1)}, D, "float")
 
 
 def test_cauchy_inequality_sweep():
