@@ -40,7 +40,6 @@ from .series import (
     ps_add,
     ps_antiderive,
     ps_derive,
-    ps_divide_monomial,
     ps_lie_exp,
     ps_mul,
     ps_norm,

@@ -285,6 +285,11 @@ def _parse_schedule(cfg: dict) -> Command:
     return command
 
 
+def _normal_form_exit(report: engines.IterationReport) -> int:
+    """Exit code of a morse or circle report: 2 if it diverged, else 0 (undecided included)."""
+    return 2 if report.verdict == "diverged" else 0
+
+
 def _parse_morse(cfg: dict) -> Command:
     steps = _number(cfg, "steps", 2, lo=0, hi=MAX_MORSE_STEPS, integer=True)
     truncation = _number(cfg, "truncation", max(2**steps + 2, 8), lo=2, hi=MAX_TRUNCATION, integer=True)
@@ -298,7 +303,7 @@ def _parse_morse(cfg: dict) -> Command:
         payload = {"report": result.report}
         payload["functions"] = [[str(c) for c in f.coefficients] for f in result.functions]
         payload["generators"] = [[str(c) for c in g.coefficients] for g in result.generators]
-        return payload, 0
+        return payload, _normal_form_exit(result.report)
 
     return command
 
@@ -318,7 +323,7 @@ def _parse_circle(cfg: dict) -> Command:
 
     def command() -> tuple[dict, int]:
         result = engines.circle_run(eps, steps, cap, order, strip_width)
-        return {"report": result.report}, 0 if result.report.verdict != "diverged" else 2
+        return {"report": result.report}, _normal_form_exit(result.report)
 
     return command
 

@@ -5,8 +5,10 @@ step norms, residuals and monitored bounds.  The generic drivers
 (contraction_run, kam_run) treat their contraction or mixed bounds as
 assumptions to monitor: violations are flagged in the report rather than
 aborting, since probing those hypotheses is the point of running them.
-Exact Newton runs on integers: X = integral(x) and Q = X^2/2 - integral(y)
-are numerators over one denominator each, the residual is Q', the
+Both exact loops keep their state on the integer layer of series, as
+numerators over one denominator.  Morse keeps f there and builds Fractions
+only for the functions and generators it returns.  Exact Newton keeps
+X = integral(x) and Q = X^2/2 - integral(y); the residual is Q', the
 correction Xi = integral(xi) is the division Q / X with one gcd per row,
 and a step updates Q by (Q - X Xi) + Xi^2/2 without re-squaring X.
 That state is the only place the (X^2/2)' and (X Xi)' forms are computed;
@@ -34,17 +36,16 @@ from .factors import (
     schedule_build,
 )
 from .series import (
-    Derivation,
     TruncatedPowerSeries,
     _cauchy,
     _cauchy_square,
+    _combine,
     _common_denominator,
     _integral_numerators,
+    _lie_exp,
     _numerator_norm,
     linearization_action,
     ps_antiderive,
-    ps_divide_monomial,
-    ps_lie_exp,
     ps_mul,
     ps_norm,
 )
@@ -207,17 +208,16 @@ def report_csv_rows(report: IterationReport) -> list[list[object]]:
 # ---------------------------------------------------------------------------
 
 
+def _valuation(nums: list[int]) -> int:
+    """Least degree with a nonzero numerator; len(nums) for zero."""
+    return next((k for k, n in enumerate(nums) if n), len(nums))
+
+
 @dataclass(frozen=True)
 class MorseResult:
     report: IterationReport
     functions: tuple[TruncatedPowerSeries, ...]
     generators: tuple[TruncatedPowerSeries, ...]
-
-
-def _morse_remainder(f: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    half = Fraction(1, 2)
-    quad = TruncatedPowerSeries.monomial(2, half, f.truncation, f.mode)
-    return f - quad
 
 
 def morse_run(f0: TruncatedPowerSeries, steps: int) -> MorseResult:
@@ -227,65 +227,55 @@ def morse_run(f0: TruncatedPowerSeries, steps: int) -> MorseResult:
     used as the generator of a Lie exponential; the new remainder then has
     valuation at least 2^(n+1) + 2, which is asserted rather than assumed.
     Exact mode is required so the recorded coefficients are reproducible.
+    f runs as integer numerators over one denominator, and R is f with its
+    degree-2 term cleared, since the Lie steps never touch degrees below 3.
     """
     if f0.mode != "exact":
         raise PreconditionError("normal-form runs require exact mode")
     if f0.truncation < 2**steps + 2:
-        raise PreconditionError(
-            f"truncation {f0.truncation} too small; need at least {2 ** steps + 2}"
-        )
-    if f0.real_coefficient(2) != Fraction(1, 2) or not _morse_remainder(f0).valuation >= 3:
+        raise PreconditionError(f"truncation {f0.truncation} too small; need at least {2 ** steps + 2}")
+    if f0.real_coefficient(2) != Fraction(1, 2) or any(f0.coefficients[:2]):
         raise PreconditionError("input must be x^2/2 plus a remainder of valuation >= 3")
 
     D = f0.truncation
-    functions = [f0]
-    generators: list[TruncatedPowerSeries] = []
-    records: list[StepRecord] = []
-    f = f0
+    functions, generators, records = [f0], [], []
+    nf, df = _common_denominator(f0.coefficients)
+    remainder = [*nf[:2], 0, *nf[3:]]
     for n in range(steps):
-        remainder = _morse_remainder(f)
-        if not remainder.is_zero() and remainder.valuation < 2**n + 2:
-            raise RuntimeError(
-                f"remainder valuation {remainder.valuation} below 2^{n}+2: elimination bug"
-            )
         lead = 2**n + 2
-        block = list(TruncatedPowerSeries.zero(D, f.mode).coefficients)
-        for d in range(lead, min(lead + 2**n, D + 1)):
-            block[d] = remainder.coefficients[d]
-        block_series = TruncatedPowerSeries(D, f.mode, tuple(block))
-        generator = -ps_divide_monomial(block_series, 1)
-        f_next = ps_lie_exp(Derivation(generator), f)
+        if _valuation(remainder) < lead:
+            raise RuntimeError(f"remainder valuation {_valuation(remainder)} below 2^{n}+2: elimination bug")
+        block = nf[lead : lead + 2**n]
+        ng = [0] * (lead - 1) + [-c for c in block] + [0] * (D + 2 - lead - len(block))
+        g = math.gcd(df, *ng)  # the generator's own least denominator keeps the Lie sum small
+        ng, dg = [c // g for c in ng], df // g
+        nf_next, df_next = _lie_exp(ng, dg, nf, df)
 
-        new_remainder = _morse_remainder(f_next)
-        if not new_remainder.is_zero() and new_remainder.valuation < 2 ** (n + 1) + 2:
-            raise RuntimeError(
-                f"post-step valuation {new_remainder.valuation} below 2^{n + 1}+2"
+        remainder = [*nf_next[:2], 0, *nf_next[3:]]
+        v = _valuation(remainder)
+        if v < 2 ** (n + 1) + 2:
+            raise RuntimeError(f"post-step valuation {v} below 2^{n + 1}+2")
+
+        diff = _combine(nf_next, df_next, nf, df, -1)
+        bound = (MORSE_INNER / MORSE_OUTER) ** lead * _numerator_norm(*diff, MORSE_OUTER)
+        step_norm = _numerator_norm(*diff, MORSE_INNER)
+        records.append(
+            StepRecord(
+                n=n,
+                s=MORSE_INNER,
+                step_norm=step_norm,
+                residual=_numerator_norm(remainder, df_next, MORSE_INNER),
+                bound=bound,
+                bound_ok=step_norm <= bound * (1.0 + 1e-9),
+                extras={"valuation": v},
             )
-
-        diff = f_next - f
-        bound = (MORSE_INNER / MORSE_OUTER) ** (2**n + 2) * ps_norm(diff, MORSE_OUTER)
-        step_norm = ps_norm(diff, MORSE_INNER)
-        record = StepRecord(
-            n=n,
-            s=MORSE_INNER,
-            step_norm=step_norm,
-            residual=ps_norm(new_remainder, MORSE_INNER),
-            bound=bound,
-            bound_ok=step_norm <= bound * (1.0 + 1e-9),
-            extras={"valuation": new_remainder.valuation},
         )
-        records.append(record)
-        generators.append(generator)
-        functions.append(f_next)
-        f = f_next
+        generators.append(TruncatedPowerSeries(D, "exact", tuple(Fraction(c, dg) for c in ng)))
+        functions.append(TruncatedPowerSeries(D, "exact", tuple(Fraction(c, df_next) for c in nf_next)))
+        nf, df = nf_next, df_next
 
     verdict = _verdict_from_steps([r.step_norm for r in records])
-    report = IterationReport(
-        "morse",
-        tuple(records),
-        verdict,
-        {"truncation": D, "steps": steps},
-    )
+    report = IterationReport("morse", tuple(records), verdict, {"truncation": D, "steps": steps})
     return MorseResult(report, tuple(functions), tuple(generators))
 
 
@@ -450,18 +440,6 @@ def _divide(nq: list[int], dq: int, nx: list[int], dx: int, rows: int, step: int
     return [0] * v + na, da
 
 
-def _combine(nu: list[int], du: int, nv: list[int], dv: int, sign: int) -> tuple[list[int], int]:
-    """nu/du + sign * nv/dv entry by entry (nv may be shorter), over its least common denominator."""
-    den = math.lcm(du, dv)
-    fu, fv = den // du, sign * (den // dv)
-    out = [a * fu for a in nu]
-    for k, b in enumerate(nv):
-        if b:
-            out[k] += b * fv
-    g = math.gcd(den, *out)
-    return ([a // g for a in out], den // g) if g > 1 else (out, den)
-
-
 def _derivative(nq: list[int], dq: int) -> tuple[list[int], int]:
     """Numerators of Q' at degrees 0..D, for Q at degrees 2..D+1."""
     return [0, *((m + 2) * q for m, q in enumerate(nq))], dq
@@ -507,7 +485,7 @@ class _ExactNewton:
     """
 
     norm = staticmethod(lambda f, t: _numerator_norm(*f, t))
-    valuation = staticmethod(lambda f: next((k for k, n in enumerate(f[0]) if n), len(f[0])))
+    valuation = staticmethod(lambda f: _valuation(f[0]))
 
     def __init__(self, x0: TruncatedPowerSeries, y: TruncatedPowerSeries, defect: int):
         D = x0.truncation
@@ -614,7 +592,7 @@ def _newton_loop(
                 step_norm=step_norm,
                 residual=next_norm,
                 bound=r_norm,
-                bound_ok=next_norm <= r_norm * (1.0 + 1e-9) if r_norm > 0.0 else True,
+                bound_ok=r_norm == 0.0 or next_norm <= r_norm * (1.0 + 1e-9),
                 extras=extras,
             )
         )

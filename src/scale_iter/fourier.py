@@ -284,7 +284,8 @@ def tail_decay_check(w: FourierOneForm, n: int, s: float, t: float) -> TailDecay
     Checks ratio = |w|_s / |w|_t <= exp(2^(n-1) (s - t)) and, along the way,
     that k -> sinh(2ks)/sinh(2kt) is decreasing over the support range.  Past
     the float range the log bound saturates to -inf, and log-sinh ratios that
-    saturate to the same -inf do not count as decreasing.
+    saturate to the same -inf do not count as decreasing.  A norm at s past
+    the float range has no ratio to report, and raises ValueError.
     """
     if not (0.0 < s < t):
         raise ValueError("need 0 < s < t")
@@ -293,7 +294,10 @@ def tail_decay_check(w: FourierOneForm, n: int, s: float, t: float) -> TailDecay
     low = support[np.abs(support) < min_support]
     if low.size:
         raise SupportError(f"harmonic {low[0]} below the required support 2^{n}")
-    log_ratio = strip_l2_log_norm(w, s) - strip_l2_log_norm(w, t)
+    log_s = strip_l2_log_norm(w, s)
+    if log_s == math.inf:
+        raise ValueError(f"the strip norm at s = {s} leaves the float range")
+    log_ratio = log_s - strip_l2_log_norm(w, t)
     try:
         log_bound = math.ldexp(s - t, n - 1)
     except OverflowError:  # s - t < 0

@@ -2,14 +2,14 @@
 
 Series live in the quotient ring C[z]/(z^(D+1)) for a fixed truncation D.
 Exact mode stores real coefficients as Fractions so golden computations are
-reproducible bit for bit; its Cauchy product runs on integer numerators over
-one common denominator.  Float mode stores real doubles.  The disk norm
+reproducible bit for bit.  Float mode stores real doubles.  The disk norm
 is the coefficient majorant sum |c_k| t^k, which dominates the true sup on
 the disk of radius t.  The Lie exponential of a derivation g d/dz with
 valuation(g) at least 2 terminates exactly at the truncation, which is what
-makes the normal-form eliminations below golden-testable.  The exact Newton
-kernel in engines keeps its own integer state and reuses the integer
-helpers here; linearization_action is the two-product form in both modes.
+makes the Morse eliminations golden-testable; it is exact only.  Exact
+arithmetic runs on one integer layer, numerator lists over one denominator
+(_cauchy, _combine, _lie_exp), which ps_mul, ps_lie_exp and the exact Morse
+and Newton loops in engines share.
 """
 
 from __future__ import annotations
@@ -24,14 +24,11 @@ __all__ = [
     "TruncatedPowerSeries",
     "Derivation",
     "ModeMismatchError",
-    "DivisionValuationError",
     "GeneratorValuationError",
     "ps_add",
     "ps_mul",
-    "ps_scale",
     "ps_derive",
     "ps_antiderive",
-    "ps_divide_monomial",
     "ps_lie_exp",
     "ps_norm",
     "linearization_action",
@@ -42,10 +39,6 @@ class ModeMismatchError(ValueError):
     """Operands carry different scalar modes or truncations."""
 
 
-class DivisionValuationError(ValueError):
-    """Monomial division requested below the valuation of the series."""
-
-
 class GeneratorValuationError(ValueError):
     """Lie exponential requested for a generator of valuation <= 1."""
 
@@ -53,12 +46,6 @@ class GeneratorValuationError(ValueError):
 Coeff = Union[Fraction, float]
 
 _F0 = Fraction(0)
-
-
-def _c_scale(a: Coeff, q: Fraction, mode: str) -> Coeff:
-    if mode == "exact":
-        return a * q
-    return a * (q.numerator / q.denominator)
 
 
 def _common_denominator(coeffs) -> tuple[list[int], int]:
@@ -91,6 +78,18 @@ def _cauchy(u: list, v: list, D: int, zero) -> list:
                 if b:
                     out[k] += a * b
     return out
+
+
+def _combine(nu: list[int], du: int, nv: list[int], dv: int, sign: int) -> tuple[list[int], int]:
+    """nu/du + sign * nv/dv entry by entry (nv may be shorter), over its least common denominator."""
+    den = math.lcm(du, dv)
+    fu, fv = den // du, sign * (den // dv)
+    out = [a * fu for a in nu]
+    for k, b in enumerate(nv):
+        if b:
+            out[k] += b * fv
+    g = math.gcd(den, *out)
+    return ([a // g for a in out], den // g) if g > 1 else (out, den)
 
 
 def _cauchy_square(u: list[int], D: int) -> list[int]:
@@ -140,10 +139,6 @@ class TruncatedPowerSeries:
             coeffs[deg] = Fraction(val) if mode == "exact" else float(val)  # type: ignore[arg-type]
         return cls(truncation, mode, tuple(coeffs))
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient, truncation: int, mode: str = "exact"):
-        return cls.from_dict({degree: coefficient}, truncation, mode)
-
     # ---- basic queries -------------------------------------------------
 
     @property
@@ -182,9 +177,6 @@ class TruncatedPowerSeries:
             tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
         )
 
-    def __neg__(self):
-        return TruncatedPowerSeries(self.truncation, self.mode, tuple(-c for c in self.coefficients))
-
 
 def _check_compatible(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> None:
     if f.mode != g.mode:
@@ -218,20 +210,12 @@ def ps_mul(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedPowerSe
     return TruncatedPowerSeries(D, mode, tuple(Fraction(n, den) for n in _cauchy(nf, ng, D, 0)))
 
 
-def ps_scale(f: TruncatedPowerSeries, q) -> TruncatedPowerSeries:
-    q = Fraction(q)
-    return TruncatedPowerSeries(
-        f.truncation, f.mode, tuple(_c_scale(c, q, f.mode) for c in f.coefficients)
-    )
-
-
 def ps_derive(f: TruncatedPowerSeries) -> TruncatedPowerSeries:
     """Formal derivative; the top degree of the output is zero."""
-    D, mode = f.truncation, f.mode
-    out = list(TruncatedPowerSeries.zero(D, mode).coefficients)
-    for k in range(1, D + 1):
-        out[k - 1] = _c_scale(f.coefficients[k], Fraction(k), mode)
-    return TruncatedPowerSeries(D, mode, tuple(out))
+    zero = _F0 if f.mode == "exact" else 0.0
+    return TruncatedPowerSeries(
+        f.truncation, f.mode, (*(k * c for k, c in enumerate(f.coefficients[1:], 1)), zero)
+    )
 
 
 def ps_antiderive(f: TruncatedPowerSeries) -> tuple[TruncatedPowerSeries, bool]:
@@ -246,23 +230,6 @@ def ps_antiderive(f: TruncatedPowerSeries) -> tuple[TruncatedPowerSeries, bool]:
     return TruncatedPowerSeries(D, mode, out), bool(f.coefficients[D])
 
 
-def ps_divide_monomial(f: TruncatedPowerSeries, k: int) -> TruncatedPowerSeries:
-    """Divide by z^k; valid only when valuation(f) >= k.
-
-    The failure case is the division flavor of loss of regularity, so it is
-    reported as its own error type.
-    """
-    if k < 0:
-        raise ValueError("monomial power must be >= 0")
-    if f.valuation < k:
-        raise DivisionValuationError(
-            f"valuation {f.valuation} is below the requested power {k}"
-        )
-    D, mode = f.truncation, f.mode
-    zeros = TruncatedPowerSeries.zero(D, mode).coefficients
-    return TruncatedPowerSeries(D, mode, f.coefficients[k:] + zeros[:k])
-
-
 @dataclass(frozen=True)
 class Derivation:
     """Vector field g(z) d/dz acting on the truncated ring."""
@@ -271,6 +238,26 @@ class Derivation:
 
     def apply(self, f: TruncatedPowerSeries) -> TruncatedPowerSeries:
         return ps_mul(self.generator, ps_derive(f))
+
+
+def _lie_exp(ng: list[int], dg: int, nf: list[int], df: int) -> tuple[list[int], int]:
+    """f + v(f) + v^2(f)/2! + ... for v = g d/dz, with g = ng/dg and f = nf/df as numerator lists.
+
+    Term j is g times the derivative of term j - 1, over dt dg j, reduced by
+    one gcd; the sum stops at the first zero term, so g needs valuation >= 2.
+    """
+    D = len(nf) - 1
+    acc, nt, dt = (nf, df), nf, df
+    j = 1
+    while True:
+        nt = _cauchy(ng, [k * n for k, n in enumerate(nt[1:], 1)], D, 0)
+        if not any(nt):
+            return acc
+        dt *= dg * j
+        g = math.gcd(dt, *nt)
+        nt, dt = [n // g for n in nt], dt // g
+        acc = _combine(*acc, nt, dt, 1)
+        j += 1
 
 
 def ps_lie_exp(v: Derivation, f: TruncatedPowerSeries) -> TruncatedPowerSeries:
@@ -282,20 +269,14 @@ def ps_lie_exp(v: Derivation, f: TruncatedPowerSeries) -> TruncatedPowerSeries:
     """
     g = v.generator
     _check_compatible(g, f)
+    if f.mode != "exact":
+        raise ModeMismatchError("the Lie exponential requires exact mode")
     if not g.is_zero() and g.valuation < 2:
         raise GeneratorValuationError(
             f"generator valuation {g.valuation} < 2; the exponential would not terminate"
         )
-    acc = f
-    term = f
-    j = 1
-    while True:
-        term = ps_scale(v.apply(term), Fraction(1, j))
-        if term.is_zero():
-            break
-        acc = ps_add(acc, term)
-        j += 1
-    return acc
+    nums, den = _lie_exp(*_common_denominator(g.coefficients), *_common_denominator(f.coefficients))
+    return TruncatedPowerSeries(f.truncation, "exact", tuple(Fraction(n, den) for n in nums))
 
 
 def linearization_action(
@@ -318,15 +299,13 @@ def ps_norm(f: TruncatedPowerSeries, t: float) -> float:
     t^k leaves the float range, the sum moves to the log domain; so does a
     coefficient that underflows a float while its t^k overflows.
     """
+    if f.mode == "exact":
+        return _numerator_norm(*_common_denominator(f.coefficients), t)
     if t <= 0.0:
         raise ValueError("radius must be positive")
     try:
-        if f.mode == "exact":  # float first: the same value, without an abs Fraction
-            return math.fsum(abs(float(c)) * t**k for k, c in enumerate(f.coefficients) if c)
         return math.fsum(abs(c) * t**k for k, c in enumerate(f.coefficients) if c)
     except OverflowError:
-        if f.mode == "exact":
-            return _log_domain_norm(_exact_log_magnitudes(f.coefficients), t)
         return _log_domain_norm([(k, math.log(abs(c))) for k, c in enumerate(f.coefficients) if c], t)
 
 
@@ -340,14 +319,9 @@ def _numerator_norm(nums: list[int], den: int, t: float) -> float:
         raise ValueError("radius must be positive")
     try:
         return math.fsum(abs(n / den) * t**k for k, n in enumerate(nums) if n)
-    except OverflowError:
-        return _log_domain_norm(_exact_log_magnitudes([Fraction(n, den) for n in nums]), t)
-
-
-def _exact_log_magnitudes(coeffs: list[Fraction]) -> list[tuple[int, float]]:
-    """(k, log|c_k|) of each nonzero coefficient; log|numerator| - log(denominator)
-    holds for integers of any size."""
-    return [(k, math.log(abs(c.numerator)) - math.log(c.denominator)) for k, c in enumerate(coeffs) if c]
+    except OverflowError:  # log|numerator| - log(denominator) holds for integers of any size
+        reduced = [(k, Fraction(n, den)) for k, n in enumerate(nums) if n]
+        return _log_domain_norm([(k, math.log(abs(c.numerator)) - math.log(c.denominator)) for k, c in reduced], t)
 
 
 def _log_domain_norm(log_mags: list[tuple[int, float]], t: float) -> float:

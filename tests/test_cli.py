@@ -657,10 +657,9 @@ def test_ceilings_reject_one_past_each_limit(capsys):
     for name, (base, key, ceiling) in over.items():
         if name != "circle steps":
             assert cli.validate({**base, key: ceiling}) == [], name
-    # the cheap configs at a ceiling also run to a report.  Left out for their
-    # cost, which belongs to the integer Lie exponential (ROADMAP.md item 4):
-    # morse steps 9 (about 13 s), morse truncation 1024 (about 22 s at steps
-    # 2) and exact newton at truncation 1024 with a nontrivial y (about 4 s)
+    # the configs at a ceiling also run to a report.  Left out for its cost:
+    # exact newton at truncation 1024 with a nontrivial y (about 4 s), whose
+    # time goes to the dense integer products (ROADMAP.md item 6)
     at_ceiling = [
         {**over["bruno"][0], "horizon": cli.MAX_HORIZON},
         {**over["tame"][0], "horizon": cli.MAX_HORIZON},
@@ -671,6 +670,8 @@ def test_ceilings_reject_one_past_each_limit(capsys):
         {"command": "circle", "order": cli.MAX_ORDER},
         {"command": "newton", "steps": cli.MAX_HORIZON, "y": {"1": "1", "2": "1/10"}, "truncation": 32},
         {"command": "newton", "truncation": cli.MAX_TRUNCATION},
+        {"command": "morse", "steps": cli.MAX_MORSE_STEPS},
+        {"command": "morse", "truncation": cli.MAX_TRUNCATION},
     ]
     for cfg in at_ceiling:
         assert cli.run(cfg) in (0, 2), cfg
@@ -690,6 +691,18 @@ def test_float_newton_past_the_float_range_reads_infinity(capsys):
     assert [step["step_norm"] for step in report["steps"][:2]] == [3.3333333333333334e199, math.inf]
     assert report["steps"][0]["residual"] == math.inf
     assert all(math.isnan(step["step_norm"]) for step in report["steps"][2:])
+    # a NaN bound cannot be met, so those steps are flagged
+    assert all(math.isnan(step["bound"]) for step in report["steps"][2:])
+    assert [step["flag"] for step in report["steps"][2:]] == [False] * 4
+
+
+def test_diverged_morse_exits_two(capsys):
+    # a remainder of 1e40 sends the step norms past the float range; morse
+    # shares circle's rule: diverged exits 2, undecided exits 0
+    assert cli.run({"command": "morse", "steps": 3, "remainder": {"3": "1e40"}}) == 2
+    assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "diverged"
+    assert cli.run({"command": "morse", "steps": 3}) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "undecided"
 
 
 def test_numbers_reject_bools_and_non_finite_values():

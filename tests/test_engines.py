@@ -27,6 +27,7 @@ from scale_iter.engines import (
     scalar_kam_family,
 )
 from scale_iter.series import TruncatedPowerSeries, ps_norm
+from test_series import lie_series_loop
 
 
 def S(entries, D, mode="exact"):
@@ -64,6 +65,34 @@ def test_morse_step_two_eliminates_quartic_block():
     assert g1.real_coefficient(4) == -4
 
 
+def test_morse_generator_is_the_negated_block_over_x():
+    # the remainder x^3 divided by x gives the -x^2 generator of the first step;
+    # step n takes the block of degrees 2^n+2 .. 2^(n+1)+1, shifted down one degree
+    assert morse_run(seed_function(7), 1).generators[0] == S({2: -1}, 7)
+    f = S({2: Fraction(1, 2), 3: Fraction(2, 3), 4: Fraction(-5, 6), 9: 7}, 10)
+    res = morse_run(f, 3)
+    for n, (g, f_n) in enumerate(zip(res.generators, res.functions)):
+        lead = 2**n + 2
+        assert g == S({d - 1: -f_n.real_coefficient(d) for d in range(lead, lead + 2**n)}, 10), n
+        assert g.valuation >= lead - 1
+
+
+def test_morse_steps_match_the_float_lie_series():
+    # exact against float: each step's generator, applied in float by the
+    # term-by-term Lie loop to to_float() of the step's input, gives the exact
+    # output to within 1e-12 of the largest coefficient of either
+    for f0, steps in (
+        (seed_function(34), 5),
+        (S({2: Fraction(1, 2), 3: Fraction(-2, 3), 4: Fraction(3, 4), 5: Fraction(-1, 5)}, 20), 4),
+    ):
+        res = morse_run(f0, steps)
+        for g, f, f_next in zip(res.generators, res.functions, res.functions[1:]):
+            approx = lie_series_loop(g.to_float(), f.to_float()).coefficients
+            exact = f_next.to_float().coefficients
+            scale = max(map(abs, approx + exact))
+            assert max(abs(a - b) for a, b in zip(approx, exact)) <= 1e-12 * scale
+
+
 def test_morse_valuation_doubling():
     res = morse_run(seed_function(70), 5)
     vals = [r.extras["valuation"] for r in res.report.steps]
@@ -89,6 +118,10 @@ def test_morse_remainder_scale_decay():
     res = morse_run(seed_function(32), 3)
     for n, f in enumerate(res.functions[1:]):
         remainder = f - S({2: Fraction(1, 2)}, f.truncation)
+        # the report's norms, taken on integers, equal those of the returned Fraction series
+        record, diff = res.report.steps[n], f - res.functions[n]
+        assert (record.residual, record.step_norm) == (ps_norm(remainder, 0.4), ps_norm(diff, 0.4))
+        assert record.bound == 0.8 ** (2**n + 2) * ps_norm(diff, 0.5)
         p = 2 ** (n + 1) + 2
         for s, t in ((0.3, 0.5), (0.2, 0.4)):
             lhs = ps_norm(remainder, s)

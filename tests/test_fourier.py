@@ -208,6 +208,9 @@ def test_tail_decay_saturates_past_the_float_range():
     assert (near.ratio, near.bound, near.ok, near.sinh_ratio_monotone) == (0.0, 0.0, True, True)
     # every log-sinh ratio is -inf at 1e308, so the decrease cannot be seen
     assert (far.ratio, far.bound, far.ok, far.sinh_ratio_monotone) == (0.0, 0.0, True, False)
+    # a norm at s past the float range leaves no ratio to compare
+    with pytest.raises(ValueError, match="leaves the float range"):
+        tail_decay_check(w, 2, 5e307, 1e308)
 
 
 def test_tail_decay_ratio_continuity_near_equal_radii():

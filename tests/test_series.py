@@ -8,7 +8,6 @@ import pytest
 
 from scale_iter.series import (
     Derivation,
-    DivisionValuationError,
     GeneratorValuationError,
     ModeMismatchError,
     TruncatedPowerSeries,
@@ -17,11 +16,9 @@ from scale_iter.series import (
     ps_add,
     ps_antiderive,
     ps_derive,
-    ps_divide_monomial,
     ps_lie_exp,
     ps_mul,
     ps_norm,
-    ps_scale,
 )
 
 
@@ -105,24 +102,6 @@ def test_derive_antiderive_round_trip():
     assert ps_derive(anti).coefficients == f.coefficients
 
 
-def test_divide_monomial():
-    q = ps_divide_monomial(S({4: 1, 5: 1}, 6), 1)
-    assert reals(q) == ["0", "0", "0", "1", "1", "0", "0"]
-    z = TruncatedPowerSeries.monomial(1, 1, 6)
-    assert ps_mul(q, z).coefficients == S({4: 1, 5: 1}, 6).coefficients
-
-
-def test_divide_requires_valuation():
-    with pytest.raises(DivisionValuationError):
-        ps_divide_monomial(S({0: 1, 1: 1}, 5), 1)
-
-
-def test_divide_morse_seed():
-    # remainder x^3 divided by x gives the x^2 generator of the first step
-    g = ps_divide_monomial(S({3: 1}, 7), 1)
-    assert reals(g) == ["0", "0", "1", "0", "0", "0", "0", "0"]
-
-
 def test_lie_exp_matches_flow_composition():
     # independent oracle: e^(v) f = f(phi) for phi = x/(1+x), the time-one
     # flow of -x^2 d/dx, computed by series composition
@@ -133,7 +112,7 @@ def test_lie_exp_matches_flow_composition():
 
     phi = S({k: Fraction((-1) ** (k + 1)) for k in range(1, D + 1)}, D)
     phi2 = ps_mul(phi, phi)
-    oracle = ps_add(ps_scale(phi2, Fraction(1, 2)), ps_mul(phi2, phi))
+    oracle = ps_add(ps_mul(phi2, S({0: Fraction(1, 2)}, D)), ps_mul(phi2, phi))
     assert lie.coefficients == oracle.coefficients
     assert lie.real_coefficient(4) == Fraction(-3, 2)
     assert lie.real_coefficient(5) == 4
@@ -148,7 +127,7 @@ def test_lie_exp_partial_terms_hand_check():
     v = Derivation(S({2: -1}, D))
     vf = v.apply(f)
     assert reals(vf) == ["0", "0", "0", "-1", "-3", "0", "0", "0"]
-    vvf_half = ps_scale(v.apply(vf), Fraction(1, 2))
+    vvf_half = ps_mul(v.apply(vf), S({0: Fraction(1, 2)}, D))
     assert vvf_half.real_coefficient(4) == Fraction(3, 2)
 
 
@@ -185,6 +164,39 @@ def test_lie_exp_rejects_low_valuation_generator():
         ps_lie_exp(Derivation(S({1: 1}, 5)), S({2: 1}, 5))
 
 
+def lie_series_loop(g, f):
+    """f + v(f) + v^2(f)/2! + ... for v = g d/dz, one ps_mul(g, ps_derive(term)) per term, in either mode."""
+    acc = term = f
+    j = 1
+    while True:
+        term = ps_mul(ps_mul(g, ps_derive(term)), S({0: Fraction(1, j)}, f.truncation, f.mode))
+        if term.is_zero():
+            return acc
+        acc = ps_add(acc, term)
+        j += 1
+
+
+def test_lie_exp_matches_the_term_by_term_loop():
+    # the integer Lie sum against the Fraction loop it replaced, on random
+    # generators of valuation 2-4, zero coefficients included
+    rng = random.Random(1960)
+
+    def rand(D, lo):
+        return S({k: Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for k in range(lo, D + 1)}, D)
+
+    for _ in range(40):
+        D = rng.randint(6, 24)
+        g, f = rand(D, rng.randint(2, 4)), rand(D, 0)
+        assert ps_lie_exp(Derivation(g), f) == lie_series_loop(g, f)
+    f = rand(12, 0)
+    assert ps_lie_exp(Derivation(TruncatedPowerSeries.zero(12)), f) == f
+
+
+def test_lie_exp_is_exact_only():
+    with pytest.raises(ModeMismatchError):
+        ps_lie_exp(Derivation(S({2: -1.0}, 5, "float")), S({2: 0.5}, 5, "float"))
+
+
 def test_lie_exp_stable_under_retruncation():
     D, D_big = 9, 14
     f = S({2: Fraction(1, 2), 3: 1, 4: Fraction(2, 3)}, D)
@@ -202,7 +214,7 @@ def test_linearization_action_monomials():
     D = 6
     one = S({0: 1}, D)
     for k in (0, 1, 3):
-        out = linearization_action(one, TruncatedPowerSeries.monomial(k, 1, D))
+        out = linearization_action(one, S({k: 1}, D))
         assert out.real_coefficient(k + 1) == Fraction(k + 2, k + 1)
         assert out.valuation == k + 1
     assert linearization_action(one, TruncatedPowerSeries.zero(D)).is_zero()
@@ -270,11 +282,9 @@ def test_division_maximum_principle():
     for _ in range(30):
         D = rng.randint(4, 10)
         k = rng.randint(1, 3)
-        f = ps_mul(
-            TruncatedPowerSeries.monomial(k, 1, D, "float"), _random_poly(rng, D)
-        )
+        f = ps_mul(S({k: 1}, D, "float"), _random_poly(rng, D))
         t = rng.uniform(0.2, 1.5)
-        q = ps_divide_monomial(f, k)
+        q = TruncatedPowerSeries(D, "float", f.coefficients[k:] + (0.0,) * k)  # f / z^k
         assert ps_norm(q, t) <= t ** -k * ps_norm(f, t) * (1 + 1e-12)
 
 
@@ -292,7 +302,7 @@ def test_remainder_decay_with_valuation():
     for _ in range(20):
         D = 12
         p = rng.randint(2, 6)
-        f = ps_mul(TruncatedPowerSeries.monomial(p, 1, D, "float"), _random_poly(rng, D))
+        f = ps_mul(S({p: 1}, D, "float"), _random_poly(rng, D))
         s = rng.uniform(0.1, 0.5)
         t = s + rng.uniform(0.1, 0.5)
         assert ps_norm(f, s) <= (s / t) ** p * ps_norm(f, t) * (
