@@ -301,8 +301,11 @@ def _parse_morse(cfg: dict) -> Command:
     def command() -> tuple[dict, int]:
         result = engines.morse_run(f0, steps)
         payload = {"report": result.report}
-        payload["functions"] = [[str(c) for c in f.coefficients] for f in result.functions]
-        payload["generators"] = [[str(c) for c in g.coefficients] for g in result.generators]
+        try:
+            payload["functions"] = [[str(c) for c in f.coefficients] for f in result.functions]
+            payload["generators"] = [[str(c) for c in g.coefficients] for g in result.generators]
+        except ValueError as exc:  # str() refuses integers past sys.get_int_max_str_digits()
+            raise ConfigError("a coefficient is longer than Python prints, lower `steps` or the remainder") from exc
         return payload, _normal_form_exit(result.report)
 
     return command
@@ -486,7 +489,7 @@ def run(config, out_path: Path | None = None, fmt: str = "json", seed: int | Non
         return 1
     try:
         payload, code = command()
-    except (PreconditionError, factors.ScheduleError, ValueError, OverflowError) as exc:
+    except (ConfigError, PreconditionError, factors.ScheduleError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     seed = config_seed if seed is None else seed

@@ -12,13 +12,15 @@ and returns bands, so cost follows the occupied band, whatever the cap.
 
 The strip L2 norm weights harmonic k by sinh(2|k|t)/|k| (2t at k = 0);
 sinh switches to a log-domain evaluation once 2|k|t is large, so tail
-estimates stay finite for any cap.
+estimates stay finite for any cap.  The weights are read from a table over
+|k| that is cached for each width.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -249,6 +251,14 @@ def _log_weight(k: np.ndarray, t: float) -> np.ndarray:
         return np.where(ak == 0, math.log(2.0 * t), _log_sinh(2.0 * nonzero * t) - np.log(nonzero))
 
 
+@lru_cache(maxsize=32)
+def _log_weights(t: float, size: int) -> np.ndarray:
+    """Read-only table of _log_weight(|k|, t) for |k| < size; one per width and power-of-two size."""
+    table = _log_weight(np.arange(size), t)
+    table.setflags(write=False)
+    return table
+
+
 def strip_l2_log_norm(w: FourierOneForm, t: float) -> float:
     """log of the strip L2 norm; -inf for zero data, +inf once a weight leaves the float range."""
     if t <= 0.0:
@@ -256,8 +266,11 @@ def strip_l2_log_norm(w: FourierOneForm, t: float) -> float:
     idx = w.band.nonzero()[0]
     if idx.size == 0:
         return -math.inf
-    logs = 2.0 * np.log(np.abs(w.band[idx])) + _log_weight(idx + w.lo, t)
-    hi = float(logs.max())
+    k = np.abs(idx + w.lo)
+    logs = 2.0 * np.log(np.abs(w.band[idx])) + _log_weights(t, 1 << int(k.max()).bit_length())[k]
+    # largest first keeps fsum's partials few; fsum's correctly rounded sum does not depend on the order
+    logs = np.sort(logs)[::-1]
+    hi = float(logs[0])
     if hi == math.inf:
         return math.inf
     return 0.5 * (hi + math.log(math.fsum(np.exp(logs - hi).tolist())))

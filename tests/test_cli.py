@@ -690,6 +690,9 @@ def test_float_newton_past_the_float_range_reads_infinity(capsys):
     assert report["verdict"] == "diverged"
     assert [step["step_norm"] for step in report["steps"][:2]] == [3.3333333333333334e199, math.inf]
     assert report["steps"][0]["residual"] == math.inf
+    # an infinite bound passes any residual but NaN
+    step = report["steps"][1]
+    assert step["bound"] == math.inf and math.isnan(step["residual"]) and step["flag"] is False
     assert all(math.isnan(step["step_norm"]) for step in report["steps"][2:])
     # a NaN bound cannot be met, so those steps are flagged
     assert all(math.isnan(step["bound"]) for step in report["steps"][2:])
@@ -703,6 +706,15 @@ def test_diverged_morse_exits_two(capsys):
     assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "diverged"
     assert cli.run({"command": "morse", "steps": 3}) == 0
     assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "undecided"
+
+
+def test_morse_coefficient_too_long_to_print_is_a_named_error(capsys):
+    # the run finishes, but str() of a coefficient past 4,300 digits raises
+    assert cli.run({"command": "morse", "steps": 5, "remainder": {"3": "1e200"}}) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a coefficient is longer than Python prints")
+    assert "Traceback" not in captured.err and "set_int_max_str_digits" not in captured.err
 
 
 def test_numbers_reject_bools_and_non_finite_values():

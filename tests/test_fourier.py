@@ -184,6 +184,8 @@ def test_strip_norm_is_infinite_when_the_weight_leaves_the_float_range(capsys):
     assert captured.err == ""
     steps = json.loads(captured.out)["report"]["steps"]
     assert [step["residual"] for step in steps] == [math.inf] * 3
+    # an infinite bound passes any residual that is not NaN, an infinite one included
+    assert [(step["bound"], step["flag"]) for step in steps[1:]] == [(math.inf, True)] * 2
 
 
 def test_tail_decay_single_harmonic():

@@ -15,7 +15,9 @@ complex coefficients.  The Fourier product convolves only the occupied
 bands and the strip norm is one array expression; both change rounding, so
 they are compared with the dense convolution and the per-harmonic loop
 within tolerances fixed beforehand, and circle_run is compared with a dense
-copy of itself.
+copy of itself.  The strip norm's cached weight table and largest-first
+fsum change no rounding, so the norm is compared bit for bit with its
+band-order array form.
 """
 
 import math
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scale_iter import engines
+from scale_iter import engines, fourier
 from scale_iter.engines import (
     CAUCHY_TOL,
     IterationReport,
@@ -46,9 +48,12 @@ from scale_iter.fourier import (
     CircleVectorField,
     FourierOneForm,
     _convolve_truncate,
+    _log_weight,
+    _log_weights,
     cos_coefficient,
     solve_homological,
     strip_l2_log_norm,
+    tail_decay_check,
 )
 from scale_iter.series import (
     TruncatedPowerSeries,
@@ -655,6 +660,18 @@ def loop_strip_l2_log_norm(data, cap, t):
     return 0.5 * (hi + math.log(math.fsum(math.exp(l - hi) for l in logs)))
 
 
+def band_order_strip_l2_log_norm(w, t):
+    """The strip norm as one array expression: weights per harmonic, max, fsum in band order."""
+    idx = w.band.nonzero()[0]
+    if idx.size == 0:
+        return -math.inf
+    logs = 2.0 * np.log(np.abs(w.band[idx])) + _log_weight(idx + w.lo, t)
+    hi = float(logs.max())
+    if hi == math.inf:
+        return math.inf
+    return 0.5 * (hi + math.log(math.fsum(np.exp(logs - hi).tolist())))
+
+
 def _band(rng, cap, lo, hi):
     data = np.zeros(2 * cap + 1, dtype=complex)
     n = hi - lo + 1
@@ -729,6 +746,84 @@ def test_vectorised_strip_norm_matches_loop():
                     assert abs(got - want) <= 4 * math.ulp(want), (cap, density, t)
     for t in (0.1, 40.0):
         assert strip_l2_log_norm(FourierOneForm.from_coefficients({}, 16), t) == -math.inf
+
+
+def _strip_norm_cases(rng):
+    """Seeded bands from cap 1 to 16384, dense and sparse, magnitudes 1e-300 to 1e300, and zero bands."""
+    for cap in (1, 2, 3, 17, 100, 513, 2048, 16384):
+        yield FourierOneForm.from_coefficients({}, cap)
+        for density in (1.0, 0.1, 0.003):
+            for lo_exp, hi_exp in ((-300.0, 300.0), (-5.0, 5.0)):
+                if density == 1.0:
+                    lo, hi = -cap, cap
+                else:
+                    lo = int(rng.integers(-cap, cap + 1))
+                    hi = int(rng.integers(lo, cap + 1))
+                size = hi - lo + 1
+                band = 10.0 ** rng.uniform(lo_exp, hi_exp, size) * np.exp(2j * np.pi * rng.random(size))
+                band[rng.random(size) >= density] = 0.0
+                band[[0, -1]] = 10.0 ** rng.uniform(lo_exp, hi_exp, 2)  # keep the drawn ends occupied
+                yield FourierOneForm.from_coefficients(dict(zip(range(lo, hi + 1), band.tolist())), cap)
+
+
+def _strip_widths(w):
+    """Widths with the 2|k|t = 30 switch inside the band, on both sides of it, and past the float range."""
+    top = max((abs(w.lo), abs(w.lo + w.band.size - 1)), default=0) or 1
+    return sorted({1e-3, 0.5, 40.0, 7.5 / top, 15.0 / top, 30.0 / top, 1e300, 1e308})
+
+
+def _tail_fields(w, n, s, t):
+    try:
+        rep = tail_decay_check(w, n, s, t)
+    except ValueError as exc:
+        return str(exc)
+    return (rep.ratio.hex(), rep.bound.hex(), rep.ok, rep.sinh_ratio_monotone)
+
+
+def test_strip_norm_equals_band_order_form_bit_for_bit(monkeypatch):
+    # the cached weight table and the largest-first fsum must not change a bit of the norm
+    rng = np.random.default_rng(17)
+    checked = 0
+    for w in _strip_norm_cases(rng):
+        widths = _strip_widths(w)
+        for t in widths:
+            want = band_order_strip_l2_log_norm(w, t)
+            assert strip_l2_log_norm(w, t).hex() == want.hex(), (w.cap, w.lo, w.band.size, t)
+        support = np.abs(np.flatnonzero(w.band) + w.lo)
+        if not support.size or support.min() == 0:
+            continue
+        n = int(support.min()).bit_length() - 1
+        for s, t in zip(widths, widths[1:]):
+            with monkeypatch.context() as m:
+                m.setattr(fourier, "strip_l2_log_norm", band_order_strip_l2_log_norm)
+                want = _tail_fields(w, n, s, t)
+            assert _tail_fields(w, n, s, t) == want, (w.cap, w.lo, n, s, t)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.fixture
+def fresh_weight_tables():
+    _log_weights.cache_clear()
+    yield
+    _log_weights.cache_clear()
+
+
+def test_strip_weight_tables_are_cached_read_only_and_bounded(monkeypatch, fresh_weight_tables):
+    calls = []
+    real = fourier._log_weight
+    monkeypatch.setattr(fourier, "_log_weight", lambda k, t: calls.append(t) or real(k, t))
+    w = FourierOneForm.from_cos({0: 1.0, 1: 0.3, 5: 1e-3}, 64)
+    first = strip_l2_log_norm(w, 0.37)
+    assert len(calls) == 1
+    assert strip_l2_log_norm(w, 0.37) == first and len(calls) == 1
+    strip_l2_log_norm(w, 0.38)
+    assert len(calls) == 2
+    table = _log_weights(0.37, 8)  # |k| <= 5 reads the table of size 8 built above
+    assert len(calls) == 2 and table.size == 8 and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    assert _log_weights.cache_info().maxsize is not None
 
 
 # ---- circle_run against its dense form ---------------------------------------
