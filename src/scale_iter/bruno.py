@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "LOG_ZERO_FLOOR",
@@ -302,6 +302,32 @@ class OrbitTrace:
         return all(self.bound_flags)
 
 
+def _log_orbit(log_x0: float, steps: int, step: Callable[[int, float], float]) -> tuple[list[float], str, int | None]:
+    """Log values of the orbit log x_(n+1) = step(n, log x_n), its verdict and the step it failed at.
+
+    The orbit stops as diverged past LOG_OVERFLOW_CEILING; one that runs
+    every step converged to zero if it ends below LOG_ZERO_FLOOR.
+    """
+    log_values = [log_x0]
+    for n in range(steps):
+        log_values.append(step(n, log_values[-1]))
+        if log_values[-1] > LOG_OVERFLOW_CEILING:
+            return log_values, "diverged", n + 1
+    return log_values, "converged-to-zero" if log_values[-1] < LOG_ZERO_FLOOR else "undecided", None
+
+
+def _trace(
+    log_values: list[float], flags: list[bool], verdict: str, failed_at: int | None, notes: tuple[str, ...] = ()
+) -> OrbitTrace:
+    """The OrbitTrace of an orbit's log values, with linear values and step ratios read off them."""
+    values = tuple(_safe_exp(l) for l in log_values)
+    ratios = tuple(
+        _safe_exp(log_values[n + 1] - log_values[n]) if log_values[n] != -math.inf else 0.0
+        for n in range(len(log_values) - 1)
+    )
+    return OrbitTrace(values, tuple(log_values), ratios, tuple(flags), verdict, failed_at, notes)
+
+
 def quadratic_orbit(a: BrunoSequence, u0: float, steps: int) -> OrbitTrace:
     """Iterate u_(n+1) = a_n u_n^2 in log scale and classify the orbit.
 
@@ -318,19 +344,7 @@ def quadratic_orbit(a: BrunoSequence, u0: float, steps: int) -> OrbitTrace:
         raise PreconditionError("a_pi did not converge for the driving sequence")
 
     log_u0 = math.log(u0) if u0 > 0.0 else -math.inf
-    log_values = [log_u0]
-    verdict = "undecided"
-    failed_at: int | None = None
-    for n in range(steps):
-        nxt = a.log_term(n) + 2.0 * log_values[-1]
-        log_values.append(nxt)
-        if nxt > LOG_OVERFLOW_CEILING:
-            verdict = "diverged"
-            failed_at = n + 1
-            break
-    else:
-        if log_values[-1] < LOG_ZERO_FLOOR:
-            verdict = "converged-to-zero"
+    log_values, verdict, failed_at = _log_orbit(log_u0, steps, lambda n, lu: a.log_term(n) + 2.0 * lu)
 
     # Closed-form comparison.  Near the threshold the bracket
     # loghat + log u0 cancels to ~2^-n, and the 2^n factor would amplify a
@@ -355,13 +369,7 @@ def quadratic_orbit(a: BrunoSequence, u0: float, steps: int) -> OrbitTrace:
                 flags.append(it == closed or abs(min(it, closed)) > LOG_OVERFLOW_CEILING)
             else:
                 flags.append(abs(it - closed) <= 1e-9 * max(1.0, abs(closed)))
-
-    values = tuple(_safe_exp(l) for l in log_values)
-    ratios = tuple(
-        _safe_exp(log_values[n + 1] - log_values[n]) if log_values[n] != -math.inf else 0.0
-        for n in range(len(log_values) - 1)
-    )
-    return OrbitTrace(values, tuple(log_values), ratios, tuple(flags), verdict, failed_at)
+    return _trace(log_values, flags, verdict, failed_at)
 
 
 # ---------------------------------------------------------------------------
@@ -439,31 +447,15 @@ def mixed_orbit(
             notes = tuple(f"precondition violation at {i}: {msg}" for i, msg in verdict.violations)
 
     log_half = math.log(0.5)
-    log_values = [math.log(x0) if x0 > 0.0 else -math.inf]
-    verdict_str = "undecided"
-    failed_at: int | None = None
-    for n in range(steps):
-        lx = log_values[-1]
-        nxt = log_half + _logaddexp(a.log_term(n) + 2.0 * lx, b.log_term(n) + lx)
-        log_values.append(nxt)
-        if nxt > LOG_OVERFLOW_CEILING:
-            verdict_str = "diverged"
-            failed_at = n + 1
-            break
-    else:
-        if log_values[-1] < LOG_ZERO_FLOOR:
-            verdict_str = "converged-to-zero"
-
+    log_values, verdict_str, failed_at = _log_orbit(
+        math.log(x0) if x0 > 0.0 else -math.inf,
+        steps,
+        lambda n, lx: log_half + _logaddexp(a.log_term(n) + 2.0 * lx, b.log_term(n) + lx),
+    )
     flags = [True]
     for n in range(1, len(log_values)):
         flags.append(log_values[n] <= b.log_term(n) + log_values[n - 1] + 1e-12)
-
-    values = tuple(_safe_exp(l) for l in log_values)
-    ratios = tuple(
-        _safe_exp(log_values[n + 1] - log_values[n]) if log_values[n] != -math.inf else 0.0
-        for n in range(len(log_values) - 1)
-    )
-    return OrbitTrace(values, tuple(log_values), ratios, tuple(flags), verdict_str, failed_at, notes)
+    return _trace(log_values, flags, verdict_str, failed_at, notes)
 
 
 def delta_search(a: BrunoSequence | LogSequence, b: BrunoSequence | LogSequence, steps: int) -> float:

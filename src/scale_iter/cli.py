@@ -363,7 +363,7 @@ def _parse_drive(cfg: dict) -> Command:
     steps = _number(cfg, "steps", 20, lo=1, hi=MAX_HORIZON, integer=True)
     t = _number(cfg, "t", 1.0, lo=1e-300)
     x0 = engines.ScalarElement(_number(cfg, "x0", 0.25, lo=0.0))
-    shift = _number(cfg, "exponent_shift", 1, integer=True)
+    shift = _number(cfg, "exponent_shift", 1, lo=0, hi=1, integer=True)
     if cfg["kind"] == "contraction":
         b = _sequence(cfg.get("b", {"kind": "constant", "value": 0.5}), steps + 1)
         f = _factor(cfg.get("factor", {"type": "perturbative"}), steps + 1)

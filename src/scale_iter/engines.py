@@ -6,15 +6,16 @@ step norms, residuals and monitored bounds.  The generic drivers
 assumptions to monitor: violations are flagged in the report rather than
 aborting, since probing those hypotheses is the point of running them.
 Both exact loops keep their state on the integer layer of series, as
-numerators over one denominator.  Morse keeps f there and builds Fractions
-only for the functions and generators it returns.  Exact Newton keeps
-X = integral(x) and Q = X^2/2 - integral(y); the residual is Q', the
-correction Xi = integral(xi) is the division Q / X with one gcd per row,
-and a step updates Q by (Q - X Xi) + Xi^2/2 without re-squaring X.
-That state is the only place the (X^2/2)' and (X Xi)' forms are computed;
-eps_integral_map and linearization_action take the two-product forms
-x * integral(x) and x * integral(xi) + xi * integral(x) in both modes.
-Float Newton solves with one table of row weights built per run.
+numerators over one denominator, and run on its kernels.  Morse keeps f
+there and builds Fractions only for the functions and generators it
+returns.  Exact Newton keeps X = integral(x) and Q = X^2/2 - integral(y);
+the residual is Q', the correction Xi = integral(xi) is the division Q / X
+with one gcd per row, and a step updates Q by (Q - X Xi) + Xi^2/2 without
+re-squaring X.  That state is the only place the (X^2/2)' and (X Xi)' forms
+are computed; eps_integral_map and linearization_action take the
+two-product forms x * integral(x) and x * integral(xi) + xi * integral(x)
+in both modes.  Float Newton solves with one table of row weights built
+per run.  Newton takes every norm at norm_radius, once per residual.
 """
 
 from __future__ import annotations
@@ -36,14 +37,18 @@ from .factors import (
     schedule_build,
 )
 from .series import (
+    SingularLinearizationError,
     TruncatedPowerSeries,
     _cauchy,
     _cauchy_square,
     _combine,
     _common_denominator,
+    _derivative,
+    _divide,
     _integral_numerators,
     _lie_exp,
     _numerator_norm,
+    _valuation,
     linearization_action,
     ps_antiderive,
     ps_mul,
@@ -82,14 +87,6 @@ __all__ = [
 CAUCHY_TOL = 1e-12
 CAUCHY_WINDOW = 4
 MORSE_INNER, MORSE_OUTER = 0.4, 0.5  # the radii a Morse step is measured between
-
-
-class SingularLinearizationError(RuntimeError):
-    """The triangular solve hit a vanishing diagonal; carries the step index."""
-
-    def __init__(self, step: int):
-        super().__init__(f"singular diagonal at step {step}: constant term reached zero")
-        self.step = step
 
 
 class StepMapError(RuntimeError):
@@ -206,11 +203,6 @@ def report_csv_rows(report: IterationReport) -> list[list[object]]:
 # ---------------------------------------------------------------------------
 # Morse normal form
 # ---------------------------------------------------------------------------
-
-
-def _valuation(nums: list[int]) -> int:
-    """Least degree with a nonzero numerator; len(nums) for zero."""
-    return next((k for k, n in enumerate(nums) if n), len(nums))
 
 
 @dataclass(frozen=True)
@@ -410,41 +402,6 @@ def _solve_linearization(
     return TruncatedPowerSeries(D, "float", (*xi, *[0.0] * (D + 1 - len(xi))))
 
 
-def _divide(nq: list[int], dq: int, nx: list[int], dx: int, rows: int, step: int) -> tuple[list[int], int]:
-    """The first `rows` coefficients a_m of Q / X, as numerators over one growing denominator da.
-
-    nq[m] / dq is Q at degree m + 2 and nx[k] / dx is X at degree k + 1.  Row m
-    reads x_0 a_m + S = Q_(m+2) with x_0 = X_1 = p0 / dx, where S, the sum of
-    a_j X_(m+1-j) over j < m, is an integer convolution s over da dx.  So
-    a_m da = (nq[m] da dx - s dq) / (dq p0); one gcd with dq p0 reduces it and
-    leaves the factor da must grow by, which keeps da the least common
-    denominator.  Rows below the valuation v of Q are zero, so the solve
-    starts at row v.
-    """
-    p0 = nx[0]
-    if p0 == 0:
-        raise SingularLinearizationError(step)
-    v = next((m for m, q in enumerate(nq[:rows]) if q), rows)
-    d0 = dq * p0
-    na: list[int] = []
-    da = 1
-    for m in range(v, rows):
-        s = sum(map(operator.mul, na, nx[m - v : 0 : -1]))
-        num = nq[m] * da * dx - s * dq
-        g = math.gcd(num, d0)
-        num, grow = (num // g, d0 // g) if d0 > 0 else (-num // g, -d0 // g)
-        if grow > 1:
-            na = [n * grow for n in na]
-            da *= grow
-        na.append(num)
-    return [0] * v + na, da
-
-
-def _derivative(nq: list[int], dq: int) -> tuple[list[int], int]:
-    """Numerators of Q' at degrees 0..D, for Q at degrees 2..D+1."""
-    return [0, *((m + 2) * q for m, q in enumerate(nq))], dq
-
-
 class _FloatNewton:
     """Float Newton state: x and the residual x * integral(x) - y as series.
 
@@ -536,9 +493,9 @@ def _newton_loop(
     steps: int,
     defect: int,
     norm_radius: float,
-    schedule: RadiusSchedule | None,
     engine: str,
 ) -> NewtonResult:
+    """Every norm sits at norm_radius; a step's residual norm is carried on as the next step's bound."""
     if y.valuation < 1:
         raise PreconditionError("target must vanish at the origin")
     if x0.coefficients[0] == 0:
@@ -546,39 +503,24 @@ def _newton_loop(
     if not 0 <= defect <= x0.truncation:
         raise PreconditionError("defect must sit in [0, truncation]")
 
-    def radius_for(step: int, half: bool = False) -> float:
-        if schedule is None:
-            return norm_radius
-        # Two schedule radii are consumed per step; half-indices read the
-        # odd positions of a doubled-resolution schedule.
-        idx = 2 * step + (1 if half else 2)
-        idx = min(idx, schedule.steps)
-        return schedule.radius(idx)
-
     D = x0.truncation
     newton = (_ExactNewton if x0.mode == "exact" else _FloatNewton)(x0, y, defect)
-    residual0 = newton.residual
+    initial_norm = r_norm = newton.norm(newton.residual, norm_radius)
     records: list[StepRecord] = []
-    valuations = [newton.valuation(residual0)]
+    valuations = [newton.valuation(newton.residual)]
     for n in range(steps):
         if valuations[-1] > D:  # zero residual
             break
-        residual = newton.residual
         try:
             xi, defect_series = newton.step(n)
         except SingularLinearizationError:
-            records.append(
-                StepRecord(n, radius_for(n), math.inf, newton.norm(residual, radius_for(n)), 0.0, False, {})
-            )
+            records.append(StepRecord(n, norm_radius, math.inf, r_norm, 0.0, False, {}))
             report = IterationReport(engine, tuple(records), "singular", {"failed_step": n})
             return NewtonResult(report, newton.solution(), tuple(valuations))
 
-        s_in = radius_for(n)
-        s_half = radius_for(n, half=True)
-        r_norm = newton.norm(residual, s_half)
-        step_norm = newton.norm(xi, s_in)
-        defect_norm = newton.norm(defect_series, s_in)
-        next_norm = newton.norm(newton.residual, s_in)
+        step_norm = newton.norm(xi, norm_radius)
+        defect_norm = newton.norm(defect_series, norm_radius)
+        next_norm = newton.norm(newton.residual, norm_radius)
         valuations.append(newton.valuation(newton.residual))
         extras = {
             "residual_valuation": valuations[-1],
@@ -588,7 +530,7 @@ def _newton_loop(
         records.append(
             StepRecord(
                 n=n,
-                s=s_in,
+                s=norm_radius,
                 step_norm=step_norm,
                 residual=next_norm,
                 bound=r_norm,
@@ -596,11 +538,11 @@ def _newton_loop(
                 extras=extras,
             )
         )
+        r_norm = next_norm
 
-    final_norm = newton.norm(newton.residual, norm_radius)
     verdict = (
         "converged"
-        if valuations[-1] > D or final_norm < CAUCHY_TOL
+        if valuations[-1] > D or r_norm < CAUCHY_TOL
         else _verdict_from_steps([r.step_norm for r in records])
     )
     report = IterationReport(
@@ -610,8 +552,8 @@ def _newton_loop(
         {
             "norm_radius": norm_radius,
             "defect": defect,
-            "final_residual_norm": final_norm,
-            "initial_residual_norm": newton.norm(residual0, norm_radius),
+            "final_residual_norm": r_norm,
+            "initial_residual_norm": initial_norm,
             "initial_drift_norm": newton.norm(newton.drift, norm_radius),
             "defect_ratio_max": max(
                 (r.extras["defect_ratio"] for r in records), default=0.0
@@ -626,7 +568,6 @@ def newton_invert(
     x0: TruncatedPowerSeries,
     steps: int,
     norm_radius: float = 0.5,
-    schedule: RadiusSchedule | None = None,
 ) -> NewtonResult:
     """Newton iteration x' = x - L(x)(f(x) - y) for f(x) = x * integral(x).
 
@@ -634,7 +575,7 @@ def newton_invert(
     then satisfies v' = 2v - 1 exactly until the truncation absorbs it, the
     series-ring face of quadratic convergence.
     """
-    return _newton_loop(y, x0, steps, 0, norm_radius, schedule, "newton")
+    return _newton_loop(y, x0, steps, 0, norm_radius, "newton")
 
 
 def quasi_newton_run(
@@ -643,7 +584,6 @@ def quasi_newton_run(
     steps: int,
     defect: int,
     norm_radius: float = 0.5,
-    schedule: RadiusSchedule | None = None,
 ) -> NewtonResult:
     """Newton iteration with a deliberately degraded inverse.
 
@@ -652,7 +592,7 @@ def quasi_newton_run(
     per-step defect norm and its ratio to |residual|^2 are recorded instead
     of being assumed small.
     """
-    return _newton_loop(y, x0, steps, defect, norm_radius, schedule, "quasi-newton")
+    return _newton_loop(y, x0, steps, defect, norm_radius, "quasi-newton")
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ is the coefficient majorant sum |c_k| t^k, which dominates the true sup on
 the disk of radius t.  The Lie exponential of a derivation g d/dz with
 valuation(g) at least 2 terminates exactly at the truncation, which is what
 makes the Morse eliminations golden-testable; it is exact only.  Exact
-arithmetic runs on one integer layer, numerator lists over one denominator
-(_cauchy, _combine, _lie_exp), which ps_mul, ps_lie_exp and the exact Morse
-and Newton loops in engines share.
+arithmetic runs on one integer layer, numerator lists over one denominator:
+_cauchy, _combine, _lie_exp, and Newton's row division _divide with its
+_derivative.  ps_mul, ps_lie_exp and the exact Morse and Newton loops in
+engines share it; no engine keeps a kernel of its own on that format.
 """
 
 from __future__ import annotations
@@ -41,6 +42,14 @@ class ModeMismatchError(ValueError):
 
 class GeneratorValuationError(ValueError):
     """Lie exponential requested for a generator of valuation <= 1."""
+
+
+class SingularLinearizationError(RuntimeError):
+    """The triangular solve hit a vanishing diagonal; carries the step index."""
+
+    def __init__(self, step: int):
+        super().__init__(f"singular diagonal at step {step}: constant term reached zero")
+        self.step = step
 
 
 Coeff = Union[Fraction, float]
@@ -105,6 +114,46 @@ def _cauchy_square(u: list[int], D: int) -> list[int]:
     for i, a in enumerate(half):
         out[2 * i] += a * a
     return out
+
+
+def _valuation(nums: list[int]) -> int:
+    """Least degree with a nonzero numerator; len(nums) for zero."""
+    return next((k for k, n in enumerate(nums) if n), len(nums))
+
+
+def _divide(nq: list[int], dq: int, nx: list[int], dx: int, rows: int, step: int) -> tuple[list[int], int]:
+    """The first `rows` coefficients a_m of Q / X, as numerators over one growing denominator da.
+
+    nq[m] / dq is Q at degree m + 2 and nx[k] / dx is X at degree k + 1.  Row m
+    reads x_0 a_m + S = Q_(m+2) with x_0 = X_1 = p0 / dx, where S, the sum of
+    a_j X_(m+1-j) over j < m, is an integer convolution s over da dx.  So
+    a_m da = (nq[m] da dx - s dq) / (dq p0); one gcd with dq p0 reduces it and
+    leaves the factor da must grow by, which keeps da the least common
+    denominator.  Rows below the valuation v of Q are zero, so the solve
+    starts at row v.
+    """
+    p0 = nx[0]
+    if p0 == 0:
+        raise SingularLinearizationError(step)
+    v = _valuation(nq[:rows])
+    d0 = dq * p0
+    na: list[int] = []
+    da = 1
+    for m in range(v, rows):
+        s = sum(map(operator.mul, na, nx[m - v : 0 : -1]))
+        num = nq[m] * da * dx - s * dq
+        g = math.gcd(num, d0)
+        num, grow = (num // g, d0 // g) if d0 > 0 else (-num // g, -d0 // g)
+        if grow > 1:
+            na = [n * grow for n in na]
+            da *= grow
+        na.append(num)
+    return [0] * v + na, da
+
+
+def _derivative(nq: list[int], dq: int) -> tuple[list[int], int]:
+    """Numerators of Q' at degrees 0..D, for Q at degrees 2..D+1."""
+    return [0, *((m + 2) * q for m, q in enumerate(nq))], dq
 
 
 @dataclass(frozen=True)

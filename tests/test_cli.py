@@ -519,6 +519,18 @@ def test_kam_drive_steps_ceiling(capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_drive_exponent_shift_is_one_of_the_two_root_conventions(capsys):
+    # 0 and 1 are the README's two conventions, as the schedule command reads them
+    for kind in ("contraction", "kam"):
+        cfg = {"command": "drive", "kind": kind, "steps": 6}
+        for shift in (0, 1):
+            assert cli.validate({**cfg, "exponent_shift": shift}) == [], (kind, shift)
+        assert cli.validate({**cfg, "exponent_shift": 2}) == ["exponent_shift must be <= 1"]
+        assert cli.validate({**cfg, "exponent_shift": -1}) == ["exponent_shift must be >= 0"]
+        assert cli.run({**cfg, "exponent_shift": 10**30}) == 1
+        assert capsys.readouterr().err.startswith("config error: exponent_shift must be <= 1")
+
+
 def test_tame_sequences_shorter_than_horizon_exit_one(capsys):
     def cfg(len_a, len_b):
         return {

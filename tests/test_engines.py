@@ -2,12 +2,14 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from scale_iter import engines
 from scale_iter.bruno import BrunoSequence, LogSequence, PreconditionError, mixed_orbit, quadratic_orbit
-from scale_iter.factors import KamFactor, PerturbativeFactor, schedule_build
+from scale_iter.factors import KamFactor, PerturbativeFactor
 from scale_iter.engines import (
     IterationReport,
     _defect_ratio,
@@ -324,26 +326,68 @@ def test_quasi_newton_full_defect_is_stationary():
     assert res.report.verdict != "converged"
 
 
-def test_newton_consumes_two_schedule_radii_per_step():
-    rho = BrunoSequence.constant(0.25, 48)
-    sched = schedule_build(0.9, rho, 20)
-    res = newton_invert(target_series(), start_series(), 4, schedule=sched)
-    radii = [r.s for r in res.report.steps]
-    assert radii == [sched.radius(2 * n + 2) for n in range(len(radii))]
-    assert all(x > y for x, y in zip(radii, radii[1:]))
+def _norm_chain_cases(rng):
+    for _ in range(60):
+        mode = rng.choice(["exact", "float"])
+        D = rng.randint(2, 24)
+        y = {1: Fraction(rng.choice([1, 2, -3]), rng.choice([1, 2, 5]))}
+        for d in rng.sample(range(2, D + 1), min(D - 1, 3)):
+            y[d] = Fraction(rng.randint(-9, 9), rng.choice([1, 4, 7]))
+        x0 = {0: Fraction(rng.choice([1, 3, -2]), rng.choice([1, 2]))}
+        if rng.random() < 0.5:
+            x0[rng.randint(1, D)] = Fraction(rng.randint(-5, 5), 3)
+        defect = rng.choice([0, 0, 1, 2, D])  # 0 runs newton_invert, the rest quasi-Newton
+        yield mode, y, x0, D, rng.randint(0, 7), defect, rng.choice([0.2, 0.5, 0.9, 1.7])
+    yield "exact", {1: -1}, {0: 1}, 12, 4, 0, 0.5  # x_0 reaches zero at step 1: singular
+    yield "float", {1: -1}, {0: 1}, 12, 4, 1, 0.5
 
 
-def test_quasi_newton_reads_half_index_radii():
-    rho = BrunoSequence.constant(0.25, 48)
-    sched = schedule_build(0.9, rho, 20)
-    res = quasi_newton_run(
-        target_series(mode="float"), start_series(mode="float"), 4, 2, schedule=sched
-    )
-    # residual norms are taken at the interleaved half-index radii
-    for n, record in enumerate(res.report.steps):
-        assert record.s == sched.radius(2 * n + 2)
-        assert sched.radius(2 * n + 2) < sched.radius(2 * n + 1) < sched.radius(2 * n)
-    assert res.report.meta["defect_ratio_max"] >= 0.0
+def test_newton_takes_each_residual_norm_once_along_the_chain(monkeypatch):
+    # every norm sits at norm_radius: a step's bound is the previous residual,
+    # and the final norm is the last one, each also equal to a fresh norm.
+    # A run takes the initial norm, three per step (step, defect, residual)
+    # and the drift norm, so no residual norm is taken twice.
+    def same(a, b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    calls = []
+    for state in (engines._FloatNewton, engines._ExactNewton):
+        norm = state.norm
+
+        def counted(f, t, norm=norm):
+            calls.append(t)
+            return norm(f, t)
+
+        monkeypatch.setattr(state, "norm", staticmethod(counted))
+
+    verdicts = set()
+    for mode, y, x0, D, steps, defect, radius in _norm_chain_cases(random.Random(1975)):
+        ys, xs = S(y, D, mode), S(x0, D, mode)
+        calls.clear()
+        if defect:
+            res = quasi_newton_run(ys, xs, steps, defect, radius)
+        else:
+            res = newton_invert(ys, xs, steps, radius)
+        report, case = res.report, (mode, y, x0, D, steps, defect, radius)
+        verdicts.add(report.verdict)
+        records = report.steps
+        assert all(r.s == radius for r in records) and set(calls) == {radius}, case
+        if report.verdict == "singular":
+            assert len(calls) == 1 + 3 * (len(records) - 1), case
+            # the failed step records the norm it would have taken as its bound
+            before = records[-2].residual if len(records) > 1 else ps_norm(eps_integral_map(xs) - ys, radius)
+            assert same(records[-1].residual, before), case
+            assert same(before, ps_norm(eps_integral_map(res.solution) - ys, radius)), case
+            continue
+        assert len(calls) == 3 * len(records) + 2, case
+        meta = report.meta
+        assert same(meta["initial_residual_norm"], ps_norm(eps_integral_map(xs) - ys, radius)), case
+        bounds = [r.bound for r in records]
+        residuals = [meta["initial_residual_norm"]] + [r.residual for r in records]
+        assert all(same(b, r) for b, r in zip(bounds, residuals)), case
+        assert same(meta["final_residual_norm"], residuals[-1]), case
+        assert same(meta["final_residual_norm"], ps_norm(eps_integral_map(res.solution) - ys, radius)), case
+    assert verdicts >= {"converged", "singular"}
 
 
 # ---------------------------------------------------------------------------

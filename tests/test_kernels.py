@@ -34,7 +34,6 @@ from scale_iter.engines import (
     SingularLinearizationError,
     StepRecord,
     _defect_ratio,
-    _divide,
     _ExactNewton,
     _solve_linearization,
     _solve_weights,
@@ -57,6 +56,7 @@ from scale_iter.fourier import (
 )
 from scale_iter.series import (
     TruncatedPowerSeries,
+    _divide,
     _numerator_norm,
     linearization_action,
     ps_antiderive,
