@@ -36,18 +36,13 @@ from .factors import (
 from .series import (
     Derivation,
     TruncatedPowerSeries,
-    linearization_action,
-    ps_add,
-    ps_antiderive,
     ps_derive,
-    ps_lie_exp,
     ps_mul,
     ps_norm,
 )
 from .engines import (
     IterationReport,
     ScalarElement,
-    SeriesElement,
     circle_run,
     contraction_run,
     kam_run,

@@ -296,6 +296,8 @@ def _parse_morse(cfg: dict) -> Command:
     if truncation < 2**steps + 2:
         raise ConfigError(f"truncation {truncation} too small for {steps} steps; need >= {2**steps + 2}")
     remainder = _coefficients(cfg.get("remainder", {"3": "1"}), "remainder", "exact")
+    if any(deg < 3 for deg in remainder):
+        raise ConfigError("remainder degrees must be >= 3: f is x^2/2 plus a remainder of valuation >= 3")
     f0 = series.TruncatedPowerSeries.from_dict({2: Fraction(1, 2), **remainder}, truncation, "exact")
 
     def command() -> tuple[dict, int]:

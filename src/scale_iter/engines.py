@@ -11,17 +11,17 @@ there and builds Fractions only for the functions and generators it
 returns.  Exact Newton keeps X = integral(x) and Q = X^2/2 - integral(y);
 the residual is Q', the correction Xi = integral(xi) is the division Q / X
 with one gcd per row, and a step updates Q by (Q - X Xi) + Xi^2/2 without
-re-squaring X.  That state is the only place the (X^2/2)' and (X Xi)' forms
-are computed; eps_integral_map and linearization_action take the
-two-product forms x * integral(x) and x * integral(xi) + xi * integral(x)
-in both modes.  Float Newton solves with one table of row weights built
-per run.  Newton takes every norm at norm_radius, once per residual.
+re-squaring X.  Float Newton keeps x, the residual and the drift as lists
+of doubles and runs the same list kernel, _cauchy: the map is
+x * integral(x), the linearization x * integral(xi) + xi * integral(x),
+and the solve reads one table of row weights built per run.  Both wrap
+their state into a series only for the solution.  Newton takes every norm
+at norm_radius, once per residual.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,14 +45,11 @@ from .series import (
     _common_denominator,
     _derivative,
     _divide,
+    _float_norm,
     _integral_numerators,
     _lie_exp,
     _numerator_norm,
     _valuation,
-    linearization_action,
-    ps_antiderive,
-    ps_mul,
-    ps_norm,
 )
 
 if TYPE_CHECKING:
@@ -61,7 +58,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ScaledElement",
     "ScalarElement",
-    "SeriesElement",
     "StepRecord",
     "IterationReport",
     "SingularLinearizationError",
@@ -77,7 +73,6 @@ __all__ = [
     "quasi_newton_run",
     "contraction_run",
     "kam_run",
-    "eps_integral_map",
     "scalar_contraction_family",
     "scalar_kam_family",
     "report_to_json",
@@ -121,17 +116,6 @@ class ScalarElement:
 
     def sub(self, other: "ScalarElement") -> "ScalarElement":
         return ScalarElement(self.value - other.value)
-
-
-@dataclass(frozen=True)
-class SeriesElement:
-    series: TruncatedPowerSeries
-
-    def norm_at(self, radius: float) -> float:
-        return ps_norm(self.series, radius)
-
-    def sub(self, other: "SeriesElement") -> "SeriesElement":
-        return SeriesElement(self.series - other.series)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +346,9 @@ def circle_run(
 # ---------------------------------------------------------------------------
 
 
-def eps_integral_map(x: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """The model map x -> x * integral(x); lands in series of valuation >= 1."""
-    integral, _ = ps_antiderive(x)
-    return ps_mul(x, integral)
+def _integral(u: list[float]) -> list[float]:
+    """integral(u) at degrees 0..D for u at degrees 0..D; u_D would land at degree D+1 and drops."""
+    return [0.0, *(c * (1 / k) for k, c in enumerate(u[:-1], 1))]
 
 
 def _solve_weights(rows: int) -> list[array]:
@@ -376,57 +359,56 @@ def _solve_weights(rows: int) -> list[array]:
     return [array("d", [(m + 2) / ((j + 1) * (m - j + 1)) for j in range(m + 1)]) for m in range(rows)]
 
 
-def _solve_linearization(
-    x: TruncatedPowerSeries, rhs: TruncatedPowerSeries, weights: list[array], step: int
-) -> TruncatedPowerSeries:
-    """Float triangular solve of linearization_action(x, xi) = rhs on the rows of weights.
+def _solve_linearization(x: list[float], rhs: list[float], weights: list[array], step: int) -> list[float]:
+    """Float triangular solve of x * integral(xi) + xi * integral(x) = rhs on the rows of weights.
 
     Row m + 1 determines xi_m with diagonal x_0 (m+2)/(m+1); a table of
     fewer than D rows leaves the top xi at zero, a deliberately approximate
     inverse.  Exact runs divide on integers instead (_divide).  The map is
     homogeneous, so only an exactly zero x_0 is singular, as in _divide.
     """
-    D = x.truncation
-    coeffs = x.coefficients
-    x0 = coeffs[0]
+    x0 = x[0]
     if x0 == 0:
         raise SingularLinearizationError(step)
 
     xi: list[float] = []
     for m, row in enumerate(weights):
         # (Dxi)_(m+1) = sum_j xi_j x_(m-j) (1/(j+1) + 1/(m-j+1)), summed in the order of j
-        acc = rhs.coefficients[m + 1]
-        for a, b, w in zip(xi, coeffs[m:0:-1], row):
+        acc = rhs[m + 1]
+        for a, b, w in zip(xi, x[m:0:-1], row):
             acc = acc - a * b * w
         xi.append(acc / (x0 * row[m]))
-    return TruncatedPowerSeries(D, "float", (*xi, *[0.0] * (D + 1 - len(xi))))
+    return xi + [0.0] * (len(x) - len(xi))
 
 
 class _FloatNewton:
-    """Float Newton state: x and the residual x * integral(x) - y as series.
+    """Float Newton state: x and the residual x * integral(x) - y as lists of doubles.
 
     drift is the initial x0 * integral(x0) - x0; the solve weights are built once.
     """
 
-    norm = staticmethod(ps_norm)
-    valuation = staticmethod(operator.attrgetter("valuation"))
+    norm = staticmethod(_float_norm)
+    valuation = staticmethod(_valuation)
 
     def __init__(self, x0: TruncatedPowerSeries, y: TruncatedPowerSeries, defect: int):
-        self.x, self.y = x0, y
-        image0 = eps_integral_map(x0)
-        self.residual, self.drift = image0 - y, image0 - x0
-        self.weights = _solve_weights(x0.truncation - defect)
+        self.D, self.x, self.y = x0.truncation, list(x0.coefficients), y.coefficients
+        image0 = _cauchy(self.x, _integral(self.x), self.D, 0.0)
+        self.residual = [a - b for a, b in zip(image0, self.y)]
+        self.drift = [a - b for a, b in zip(image0, self.x)]
+        self.weights = _solve_weights(self.D - defect)
 
-    def step(self, n: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
+    def step(self, n: int) -> tuple[list[float], list[float]]:
         """Move to x - xi; return xi and the defect residual - L(x) xi."""
-        xi = _solve_linearization(self.x, self.residual, self.weights, n)
-        defect = self.residual - linearization_action(self.x, xi)
-        self.x = self.x - xi
-        self.residual = eps_integral_map(self.x) - self.y
+        x, D = self.x, self.D
+        xi = _solve_linearization(x, self.residual, self.weights, n)
+        linear = zip(_cauchy(x, _integral(xi), D, 0.0), _cauchy(xi, _integral(x), D, 0.0))
+        defect = [r - (a + b) for r, (a, b) in zip(self.residual, linear)]
+        self.x = x = [a - b for a, b in zip(x, xi)]
+        self.residual = [a - b for a, b in zip(_cauchy(x, _integral(x), D, 0.0), self.y)]
         return xi, defect
 
     def solution(self) -> TruncatedPowerSeries:
-        return self.x
+        return TruncatedPowerSeries(self.D, "float", tuple(self.x))
 
 
 class _ExactNewton:
@@ -508,15 +490,17 @@ def _newton_loop(
     initial_norm = r_norm = newton.norm(newton.residual, norm_radius)
     records: list[StepRecord] = []
     valuations = [newton.valuation(newton.residual)]
+    failed: dict = {}
     for n in range(steps):
         if valuations[-1] > D:  # zero residual
             break
         try:
             xi, defect_series = newton.step(n)
         except SingularLinearizationError:
-            records.append(StepRecord(n, norm_radius, math.inf, r_norm, 0.0, False, {}))
-            report = IterationReport(engine, tuple(records), "singular", {"failed_step": n})
-            return NewtonResult(report, newton.solution(), tuple(valuations))
+            # the failed step is bounded by the residual it could not reduce
+            records.append(StepRecord(n, norm_radius, math.inf, r_norm, r_norm, False, {}))
+            failed = {"failed_step": n}
+            break
 
         step_norm = newton.norm(xi, norm_radius)
         defect_norm = newton.norm(defect_series, norm_radius)
@@ -540,11 +524,12 @@ def _newton_loop(
         )
         r_norm = next_norm
 
-    verdict = (
-        "converged"
-        if valuations[-1] > D or r_norm < CAUCHY_TOL
-        else _verdict_from_steps([r.step_norm for r in records])
-    )
+    if failed:
+        verdict = "singular"
+    elif valuations[-1] > D or r_norm < CAUCHY_TOL:
+        verdict = "converged"
+    else:
+        verdict = _verdict_from_steps([r.step_norm for r in records])
     report = IterationReport(
         engine,
         tuple(records),
@@ -555,9 +540,8 @@ def _newton_loop(
             "final_residual_norm": r_norm,
             "initial_residual_norm": initial_norm,
             "initial_drift_norm": newton.norm(newton.drift, norm_radius),
-            "defect_ratio_max": max(
-                (r.extras["defect_ratio"] for r in records), default=0.0
-            ),
+            "defect_ratio_max": max((r.extras["defect_ratio"] for r in records if r.extras), default=0.0),
+            **failed,
         },
     )
     return NewtonResult(report, newton.solution(), tuple(valuations))

@@ -4,19 +4,21 @@ Series live in the quotient ring C[z]/(z^(D+1)) for a fixed truncation D.
 Exact mode stores real coefficients as Fractions so golden computations are
 reproducible bit for bit.  Float mode stores real doubles.  The disk norm
 is the coefficient majorant sum |c_k| t^k, which dominates the true sup on
-the disk of radius t.  The Lie exponential of a derivation g d/dz with
-valuation(g) at least 2 terminates exactly at the truncation, which is what
-makes the Morse eliminations golden-testable; it is exact only.  Exact
-arithmetic runs on one integer layer, numerator lists over one denominator:
-_cauchy, _combine, _lie_exp, and Newton's row division _divide with its
-_derivative.  ps_mul, ps_lie_exp and the exact Morse and Newton loops in
-engines share it; no engine keeps a kernel of its own on that format.
+the disk of radius t.  The Lie exponential _lie_exp of a derivation g d/dz
+with valuation(g) at least 2 terminates exactly at the truncation, which is
+what makes the Morse eliminations golden-testable.  Exact arithmetic runs on
+one integer layer, numerator lists over one denominator: _cauchy, _combine,
+_lie_exp, and Newton's row division _divide with its _derivative.  ps_mul
+and the exact Morse and Newton loops in engines share it.  Float Newton runs
+_cauchy and _float_norm on lists of doubles.  TruncatedPowerSeries is the
+boundary type: the CLI parses into it and engines return results in it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -25,23 +27,14 @@ __all__ = [
     "TruncatedPowerSeries",
     "Derivation",
     "ModeMismatchError",
-    "GeneratorValuationError",
-    "ps_add",
     "ps_mul",
     "ps_derive",
-    "ps_antiderive",
-    "ps_lie_exp",
     "ps_norm",
-    "linearization_action",
 ]
 
 
 class ModeMismatchError(ValueError):
     """Operands carry different scalar modes or truncations."""
-
-
-class GeneratorValuationError(ValueError):
-    """Lie exponential requested for a generator of valuation <= 1."""
 
 
 class SingularLinearizationError(RuntimeError):
@@ -204,9 +197,6 @@ class TruncatedPowerSeries:
             raise ModeMismatchError("real_coefficient requires exact mode")
         return self.coefficients[k]
 
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
-
     def to_float(self) -> "TruncatedPowerSeries":
         if self.mode == "float":
             return self
@@ -216,31 +206,12 @@ class TruncatedPowerSeries:
             tuple(float(c) for c in self.coefficients),
         )
 
-    # ---- operators -----------------------------------------------------
-
-    def __sub__(self, other):
-        _check_compatible(self, other)
-        return TruncatedPowerSeries(
-            self.truncation,
-            self.mode,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
 
 def _check_compatible(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> None:
     if f.mode != g.mode:
         raise ModeMismatchError(f"mode mismatch: {f.mode} vs {g.mode}")
     if f.truncation != g.truncation:
         raise ModeMismatchError(f"truncation mismatch: {f.truncation} vs {g.truncation}")
-
-
-def ps_add(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    _check_compatible(f, g)
-    return TruncatedPowerSeries(
-        f.truncation,
-        f.mode,
-        tuple(a + b for a, b in zip(f.coefficients, g.coefficients)),
-    )
 
 
 def ps_mul(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedPowerSeries:
@@ -265,18 +236,6 @@ def ps_derive(f: TruncatedPowerSeries) -> TruncatedPowerSeries:
     return TruncatedPowerSeries(
         f.truncation, f.mode, (*(k * c for k, c in enumerate(f.coefficients[1:], 1)), zero)
     )
-
-
-def ps_antiderive(f: TruncatedPowerSeries) -> tuple[TruncatedPowerSeries, bool]:
-    """Indefinite integral with zero constant term.
-
-    The degree-D input coefficient would land at degree D+1; it is dropped
-    and the returned flag says whether anything nonzero was lost.
-    """
-    D, mode = f.truncation, f.mode
-    zero, inverse = (_F0, Fraction) if mode == "exact" else (0.0, operator.truediv)
-    out = (zero, *(c * inverse(1, k) for k, c in enumerate(f.coefficients[:D], 1)))
-    return TruncatedPowerSeries(D, mode, out), bool(f.coefficients[D])
 
 
 @dataclass(frozen=True)
@@ -309,68 +268,52 @@ def _lie_exp(ng: list[int], dg: int, nf: list[int], df: int) -> tuple[list[int],
         j += 1
 
 
-def ps_lie_exp(v: Derivation, f: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """Exact Lie exponential sum f + v(f) + v^2(f)/2! + ...
-
-    Requires valuation(generator) >= 2: each application then raises the
-    valuation by at least one, so the sum terminates at the truncation and
-    the result is independent of any order cutoff.
-    """
-    g = v.generator
-    _check_compatible(g, f)
-    if f.mode != "exact":
-        raise ModeMismatchError("the Lie exponential requires exact mode")
-    if not g.is_zero() and g.valuation < 2:
-        raise GeneratorValuationError(
-            f"generator valuation {g.valuation} < 2; the exponential would not terminate"
-        )
-    nums, den = _lie_exp(*_common_denominator(g.coefficients), *_common_denominator(f.coefficients))
-    return TruncatedPowerSeries(f.truncation, "exact", tuple(Fraction(n, den) for n in nums))
-
-
-def linearization_action(
-    eps: TruncatedPowerSeries, xi: TruncatedPowerSeries
-) -> TruncatedPowerSeries:
-    """Derivative of x -> x * integral(x) at eps, applied to xi.
-
-    Acts as xi -> eps * integral(xi) + xi * integral(eps); at eps = 1 it
-    sends z^k to (k+2)/(k+1) z^(k+1), which is triangular on monomials.
-    """
-    int_xi, _ = ps_antiderive(xi)
-    int_eps, _ = ps_antiderive(eps)
-    return ps_add(ps_mul(eps, int_xi), ps_mul(xi, int_eps))
-
-
 def ps_norm(f: TruncatedPowerSeries, t: float) -> float:
     """Coefficient majorant sum |c_k| t^k, an upper bound for the sup over the closed disk.
 
-    Zero coefficients form no t^k.  When a nonzero coefficient or its power
-    t^k leaves the float range, the sum moves to the log domain; so does a
-    coefficient that underflows a float while its t^k overflows.
+    Zero coefficients form no t^k.  The sum moves to the log domain when a
+    nonzero coefficient or its power t^k leaves the float range, when a
+    coefficient underflows a float while its t^k overflows, and when t^k at
+    the top nonzero degree is subnormal or zero, where direct terms would
+    lose their digits or read 0 for a nonzero coefficient.
     """
     if f.mode == "exact":
         return _numerator_norm(*_common_denominator(f.coefficients), t)
+    return _float_norm(f.coefficients, t)
+
+
+def _underflows(coeffs, t: float) -> bool:
+    """Whether t^k at the top nonzero degree of coeffs is below the normal floats; refuses t <= 0."""
     if t <= 0.0:
         raise ValueError("radius must be positive")
-    try:
-        return math.fsum(abs(c) * t**k for k, c in enumerate(f.coefficients) if c)
-    except OverflowError:
-        return _log_domain_norm([(k, math.log(abs(c))) for k, c in enumerate(f.coefficients) if c], t)
+    top = next((k for k in range(len(coeffs) - 1, 0, -1) if coeffs[k]), 0)
+    return t < 1.0 and t**top < sys.float_info.min
+
+
+def _float_norm(coeffs, t: float) -> float:
+    """ps_norm of the float coefficients coeffs[k] at degrees k."""
+    if not _underflows(coeffs, t):
+        try:
+            return math.fsum(abs(c) * t**k for k, c in enumerate(coeffs) if c)
+        except OverflowError:
+            pass
+    return _log_domain_norm([(k, math.log(abs(c))) for k, c in enumerate(coeffs) if c], t)
 
 
 def _numerator_norm(nums: list[int], den: int, t: float) -> float:
     """ps_norm of the exact series with coefficient nums[k] / den at degree k, bit for bit.
 
     int / int true division is correctly rounded, as float() of the reduced
-    Fraction is; the log-domain fallback reads the reduced Fractions.
+    Fraction is; the log-domain sum reads the reduced Fractions, since
+    log|numerator| - log(denominator) holds for integers of any size.
     """
-    if t <= 0.0:
-        raise ValueError("radius must be positive")
-    try:
-        return math.fsum(abs(n / den) * t**k for k, n in enumerate(nums) if n)
-    except OverflowError:  # log|numerator| - log(denominator) holds for integers of any size
-        reduced = [(k, Fraction(n, den)) for k, n in enumerate(nums) if n]
-        return _log_domain_norm([(k, math.log(abs(c.numerator)) - math.log(c.denominator)) for k, c in reduced], t)
+    if not _underflows(nums, t):
+        try:
+            return math.fsum(abs(n / den) * t**k for k, n in enumerate(nums) if n)
+        except OverflowError:
+            pass
+    reduced = [(k, Fraction(n, den)) for k, n in enumerate(nums) if n]
+    return _log_domain_norm([(k, math.log(abs(c.numerator)) - math.log(c.denominator)) for k, c in reduced], t)
 
 
 def _log_domain_norm(log_mags: list[tuple[int, float]], t: float) -> float:
@@ -382,8 +325,8 @@ def _log_domain_norm(log_mags: list[tuple[int, float]], t: float) -> float:
     log_t = math.log(t)
     terms = [l + k * log_t for k, l in log_mags]
     top = max(terms)
-    if top == math.inf:  # an infinite float coefficient
-        return math.inf
+    if top == math.inf:  # an infinite float coefficient: inf, or nan beside a nan one
+        return math.fsum(terms)
     try:
         return math.exp(top + math.log(math.fsum(math.exp(x - top) for x in terms)))
     except OverflowError:

@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -493,6 +494,39 @@ def test_newton_norms_form_no_power_for_a_zero_coefficient(capsys):
         assert json.loads(captured.out)["report"]["steps"], cfg
 
 
+def test_newton_norm_of_a_nonzero_residual_is_not_zero_where_t_to_the_k_underflows(capsys):
+    # the residual is -10^200 z^300, and 0.04^300 is below the normal floats;
+    # its norm is 10^200 * 0.04^300 in both modes, not 0.0
+    want = float(10**200 * Fraction(0.04) ** 300)
+    for mode, top in (("exact", "1e200"), ("float", 1e200)):
+        cfg = {"command": "newton", "mode": mode, "truncation": 300, "steps": 1, "norm_radius": 0.04,
+               "y": {"1": "1" if mode == "exact" else 1.0, "300": top}}
+        assert cli.run(cfg) == 0, mode
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["meta"]["initial_residual_norm"] == pytest.approx(want, rel=1e-12), mode
+        assert report["steps"][0]["bound"] == report["meta"]["initial_residual_norm"], mode
+
+
+def test_singular_newton_report_holds_the_meta_of_every_verdict(capsys):
+    # x_0 reaches zero at step 1: the failed step is bounded by the residual
+    # it could not reduce, and meta holds every key a converged run holds
+    for mode in ("exact", "float"):
+        assert cli.run({"command": "newton", "mode": mode, "truncation": 12, "steps": 4, "y": {"1": "-1"}}) == 2
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["verdict"] == "singular", mode
+        failed = report["steps"][-1]
+        assert (failed["n"], failed["bound"], failed["residual"], failed["flag"]) == (1, 0.5, 0.5, False), mode
+        assert report["meta"] == {
+            "norm_radius": 0.5,
+            "defect": 0,
+            "final_residual_norm": 0.5,
+            "initial_residual_norm": 1.0,
+            "initial_drift_norm": 1.5,
+            "defect_ratio_max": 0.0,
+            "failed_step": 1,
+        }, mode
+
+
 def test_float_newton_tiny_constant_term_is_not_singular(capsys):
     # x -> x * integral(x) is homogeneous, so the float solve, like the exact
     # one, is singular only at x_0 = 0; this is the x_0 = 1 run scaled by 1e-13
@@ -602,6 +636,11 @@ PARSE_FAILURES = [
     {"command": "morse", "remainder": {"3": "1e1000000"}},
     {"command": "drive", "kind": "kam", "b": {"kind": "constant", "value": 0.5}},
     {"command": "drive", "kind": "contraction", "eps": 0.5},
+    # remainder degrees below 3: the first two exited 1 from the engine, the last two ran
+    {"command": "morse", "remainder": {"1": "1"}},
+    {"command": "morse", "remainder": {"2": "1"}},
+    {"command": "morse", "remainder": {"2": "1/2", "3": "1"}},
+    {"command": "morse", "remainder": {"0": "0"}},
 ]
 
 

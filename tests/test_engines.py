@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,9 @@ from scale_iter.engines import (
     IterationReport,
     _defect_ratio,
     ScalarElement,
-    SeriesElement,
     StepMapError,
     circle_run,
     contraction_run,
-    eps_integral_map,
     kam_run,
     morse_run,
     newton_invert,
@@ -28,8 +27,8 @@ from scale_iter.engines import (
     scalar_contraction_family,
     scalar_kam_family,
 )
-from scale_iter.series import TruncatedPowerSeries, ps_norm
-from test_series import lie_series_loop
+from scale_iter.series import TruncatedPowerSeries, ps_mul, ps_norm
+from test_series import difference, lie_series_loop
 
 
 def S(entries, D, mode="exact"):
@@ -103,7 +102,7 @@ def test_morse_valuation_doubling():
 
 def test_morse_fixed_point_without_remainder():
     res = morse_run(S({2: Fraction(1, 2)}, 8), 2)
-    assert all(g.is_zero() for g in res.generators)
+    assert not any(c for g in res.generators for c in g.coefficients)
     assert all(r.step_norm == 0.0 for r in res.report.steps)
 
 
@@ -119,9 +118,9 @@ def test_morse_requires_exact_mode_and_room():
 def test_morse_remainder_scale_decay():
     res = morse_run(seed_function(32), 3)
     for n, f in enumerate(res.functions[1:]):
-        remainder = f - S({2: Fraction(1, 2)}, f.truncation)
+        remainder = difference(f, S({2: Fraction(1, 2)}, f.truncation))
         # the report's norms, taken on integers, equal those of the returned Fraction series
-        record, diff = res.report.steps[n], f - res.functions[n]
+        record, diff = res.report.steps[n], difference(f, res.functions[n])
         assert (record.residual, record.step_norm) == (ps_norm(remainder, 0.4), ps_norm(diff, 0.4))
         assert record.bound == 0.8 ** (2**n + 2) * ps_norm(diff, 0.5)
         p = 2 ** (n + 1) + 2
@@ -223,7 +222,14 @@ def test_newton_residual_valuations_exact():
     assert res.residual_valuations == (2, 3, 5, 9, 17, 33)
     assert res.report.verdict == "converged"
     # solution actually solves the truncated equation
-    assert (eps_integral_map(res.solution) - target_series()).is_zero()
+    assert not any(model_residual(res.solution, target_series()).coefficients)
+
+
+def model_residual(x, y):
+    """x * integral(x) - y through ps_mul, with the integral's 1/k formed as float Newton forms it."""
+    one = Fraction(1) if x.mode == "exact" else 1.0
+    integral = (0 * one, *(c * (one / k) for k, c in enumerate(x.coefficients[:-1], 1)))
+    return difference(ps_mul(x, TruncatedPowerSeries(x.truncation, x.mode, integral)), y)
 
 
 def closed_form_newton_target(y, D):
@@ -346,7 +352,8 @@ def test_newton_takes_each_residual_norm_once_along_the_chain(monkeypatch):
     # every norm sits at norm_radius: a step's bound is the previous residual,
     # and the final norm is the last one, each also equal to a fresh norm.
     # A run takes the initial norm, three per step (step, defect, residual)
-    # and the drift norm, so no residual norm is taken twice.
+    # and the drift norm, so no residual norm is taken twice.  A singular
+    # step takes none, and bounds itself by the residual it could not reduce.
     def same(a, b):
         return a == b or (math.isnan(a) and math.isnan(b))
 
@@ -372,21 +379,21 @@ def test_newton_takes_each_residual_norm_once_along_the_chain(monkeypatch):
         verdicts.add(report.verdict)
         records = report.steps
         assert all(r.s == radius for r in records) and set(calls) == {radius}, case
+        meta = report.meta
         if report.verdict == "singular":
-            assert len(calls) == 1 + 3 * (len(records) - 1), case
-            # the failed step records the norm it would have taken as its bound
-            before = records[-2].residual if len(records) > 1 else ps_norm(eps_integral_map(xs) - ys, radius)
-            assert same(records[-1].residual, before), case
-            assert same(before, ps_norm(eps_integral_map(res.solution) - ys, radius)), case
+            assert len(calls) == 2 + 3 * (len(records) - 1), case
+            before = records[-2].residual if len(records) > 1 else meta["initial_residual_norm"]
+            assert same(records[-1].residual, before) and same(records[-1].bound, before), case
+            assert same(meta["final_residual_norm"], before) and meta["failed_step"] == records[-1].n, case
+            assert same(before, ps_norm(model_residual(res.solution, ys), radius)), case
             continue
         assert len(calls) == 3 * len(records) + 2, case
-        meta = report.meta
-        assert same(meta["initial_residual_norm"], ps_norm(eps_integral_map(xs) - ys, radius)), case
+        assert same(meta["initial_residual_norm"], ps_norm(model_residual(xs, ys), radius)), case
         bounds = [r.bound for r in records]
         residuals = [meta["initial_residual_norm"]] + [r.residual for r in records]
         assert all(same(b, r) for b, r in zip(bounds, residuals)), case
         assert same(meta["final_residual_norm"], residuals[-1]), case
-        assert same(meta["final_residual_norm"], ps_norm(eps_integral_map(res.solution) - ys, radius)), case
+        assert same(meta["final_residual_norm"], ps_norm(model_residual(res.solution, ys), radius)), case
     assert verdicts >= {"converged", "singular"}
 
 
@@ -485,13 +492,26 @@ def test_contraction_wraps_step_failures():
     assert info.value.step == 0
 
 
+@dataclass(frozen=True)
+class SeriesElement:
+    """A float series as a scaled element: its norm at a radius is ps_norm there."""
+
+    series: TruncatedPowerSeries
+
+    def norm_at(self, radius: float) -> float:
+        return ps_norm(self.series, radius)
+
+    def sub(self, other: "SeriesElement") -> "SeriesElement":
+        return SeriesElement(difference(self.series, other.series))
+
+
 def test_contraction_morse_steps_satisfy_scale_decay():
     # wrap the normal-form steps as a map family; each recorded step norm at
     # the inner radius obeys the (s/t)^(2^n + 2) decay of its own difference
     D = 40
     res_m = morse_run(seed_function(D), 4)
     diffs = [
-        (res_m.functions[n + 1] - res_m.functions[n]).to_float() for n in range(4)
+        difference(res_m.functions[n + 1], res_m.functions[n]).to_float() for n in range(4)
     ]
 
     def steps(n, s, t, x):
@@ -546,12 +566,6 @@ def test_kam_circle_steps_fit_mixed_bound():
         if all(nxt <= (m * prev ** 2 + nn * prev) * 1.05 for prev, nxt in pairs):
             ok = True
     assert ok
-
-
-def test_scaled_element_norms_monotone():
-    f = S({0: 1, 3: 2}, 6, "float")
-    el = SeriesElement(f)
-    assert el.norm_at(0.3) <= el.norm_at(0.6)
 
 
 def test_report_json_round_trip():

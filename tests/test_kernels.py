@@ -3,15 +3,15 @@
 The exact Cauchy product and the exact Newton division run on integer
 numerators over common denominators; here they are compared with direct
 Fraction loops, and the exact model map x * integral(x) and its
-linearization, built from ps_antiderive and ps_mul, with their two-product
-Fraction forms.  Exact Newton keeps its whole state on integers, so
-newton_invert and quasi_newton_run are compared, report float for report
-float, with a Fraction Newton loop built from the public eps_integral_map,
-linearization_action and ps_norm; its integer prologue and its row division
-are compared with their Fraction forms too.  Float series hold real doubles
-and their kernels keep their summation order, so they are compared bit for
-bit with the loops they replaced, and float Newton with a copy of itself on
-complex coefficients.  The Fourier product convolves only the occupied
+linearization, which exact Newton forms as (X^2/2)' and (X Xi)' on integer
+numerators, with their two-product Fraction forms.  Exact Newton keeps its
+whole state on integers, so newton_invert and quasi_newton_run are compared,
+report float for report float, with a Fraction Newton loop built from those
+two-product forms and ps_norm; its integer prologue and its row division are
+compared with their Fraction forms too.  Float Newton runs on lists of
+doubles and its kernels keep their summation order, so they are compared bit
+for bit with the loops they replaced, and float Newton with a copy of itself
+on complex coefficients.  The Fourier product convolves only the occupied
 bands and the strip norm is one array expression; both change rounding, so
 they are compared with the dense convolution and the per-harmonic loop
 within tolerances fixed beforehand, and circle_run is compared with a dense
@@ -35,11 +35,11 @@ from scale_iter.engines import (
     StepRecord,
     _defect_ratio,
     _ExactNewton,
+    _integral,
     _solve_linearization,
     _solve_weights,
     _verdict_from_steps,
     circle_run,
-    eps_integral_map,
     newton_invert,
     quasi_newton_run,
 )
@@ -56,13 +56,16 @@ from scale_iter.fourier import (
 )
 from scale_iter.series import (
     TruncatedPowerSeries,
+    _cauchy,
+    _cauchy_square,
+    _derivative,
     _divide,
+    _integral_numerators,
     _numerator_norm,
-    linearization_action,
-    ps_antiderive,
     ps_mul,
     ps_norm,
 )
+from test_series import difference
 
 
 def _random_exact(rng, D, density=0.8):
@@ -114,6 +117,10 @@ def two_product_linearization(x, xi):
 def two_product_map(x):
     """x * integral(x), as one Fraction product."""
     return naive_exact_mul(x, naive_exact_integral(x))
+
+
+def exact(coeffs):
+    return TruncatedPowerSeries(len(coeffs) - 1, "exact", tuple(coeffs))
 
 
 def weighted_exact_solve(x, rhs, drop_top):
@@ -187,7 +194,7 @@ def test_exact_mul_zero_operand():
     f = _random_exact(random.Random(5), 9)
     zero = TruncatedPowerSeries.zero(9)
     assert ps_mul(f, zero).coefficients == zero.coefficients
-    assert ps_mul(zero, f).is_zero()
+    assert not any(ps_mul(zero, f).coefficients)
 
 
 def _product_rule_cases(rng):
@@ -213,15 +220,26 @@ def _product_rule_cases(rng):
         yield zero, zero
 
 
+def as_fractions(state):
+    nums, den = state
+    return tuple(Fraction(n, den) for n in nums)
+
+
 def test_exact_linearization_matches_two_products():
+    # (X Xi)' on integers, as exact Newton forms it, with X = integral(x) and Xi = integral(xi)
     for x, xi in _product_rule_cases(random.Random(4242)):
-        assert linearization_action(x, xi).coefficients == two_product_linearization(x, xi)
+        (nx, dx), (nxi, dxi) = (_integral_numerators(f.coefficients[:-1]) for f in (x, xi))
+        got = _derivative(_cauchy(nx, nxi, x.truncation - 1, 0), dx * dxi)
+        assert as_fractions(got) == two_product_linearization(x, xi)
 
 
 def test_exact_map_matches_one_product():
+    # (X^2/2)' on integers, as exact Newton forms it
     for x, xi in _product_rule_cases(random.Random(4343)):
         for f in (x, xi):
-            assert eps_integral_map(f).coefficients == two_product_map(f)
+            nx, dx = _integral_numerators(f.coefficients[:-1])
+            got = _derivative(_cauchy_square(nx, f.truncation - 1), 2 * dx * dx)
+            assert as_fractions(got) == two_product_map(f)
 
 
 @pytest.mark.parametrize("drop_top", [0, 1, 2])
@@ -237,8 +255,8 @@ def test_exact_solve_matches_weighted_sum(drop_top):
         assert xi == weighted_exact_solve(x, rhs, drop_top)
         if drop_top == 0:
             # the solve inverts the linearization on degrees 1..D
-            recon = linearization_action(x, TruncatedPowerSeries(D, "exact", xi))
-            assert recon.coefficients[1:] == rhs.coefficients[1:]
+            recon = two_product_linearization(x, exact(xi))
+            assert recon[1:] == rhs.coefficients[1:]
 
 
 def test_exact_solve_singular_only_at_exact_zero():
@@ -287,9 +305,7 @@ def test_float_antiderive_bit_identical_to_loop():
         for k in range(D):
             q = Fraction(1, k + 1)
             want[k + 1] = f.coefficients[k] * (q.numerator / q.denominator)
-        got, dropped = ps_antiderive(f)
-        assert _bits(got.coefficients) == _bits(want)
-        assert dropped == (f.coefficients[D] != 0)
+        assert _bits(_integral(list(f.coefficients))) == _bits(want)
 
 
 @pytest.mark.parametrize("drop_top", [0, 1, 2])
@@ -299,8 +315,8 @@ def test_float_solve_bit_identical_to_loop(drop_top):
         D = rng.randint(2, 48)
         x = _random_float(rng, D, 1.0)
         rhs = _random_float(rng, D)
-        xi = _solve_linearization(x, rhs, _solve_weights(D - drop_top), 0)
-        assert _bits(xi.coefficients) == _bits(loop_float_solve(x, rhs, drop_top))
+        xi = _solve_linearization(list(x.coefficients), list(rhs.coefficients), _solve_weights(D - drop_top), 0)
+        assert _bits(xi) == _bits(loop_float_solve(x, rhs, drop_top))
 
 
 # ---- exact against float ---------------------------------------------------
@@ -331,26 +347,30 @@ def test_newton_exact_and_float_agree():
 def fraction_newton(y, x0, steps, defect, radius):
     """The exact Newton loop on Fraction series, as it ran before the integer state.
 
-    Each step solves with weighted_exact_solve, takes the defect as
-    residual - linearization_action(x, xi), and re-evaluates the residual as
-    eps_integral_map(x - xi) - y; every norm is ps_norm at the one radius.
+    Each step solves with weighted_exact_solve, takes the defect as residual
+    minus two_product_linearization(x, xi), and re-evaluates the residual as
+    two_product_map(x - xi) - y; every norm is ps_norm at the one radius.  A
+    singular step records the residual it could not reduce as its bound and
+    ends the loop, and its report holds the meta of every other verdict.
     """
-    D = x0.truncation
     engine = "quasi-newton" if defect else "newton"
-    image0 = eps_integral_map(x0)
-    x, residual = x0, image0 - y
+    image0 = exact(two_product_map(x0))
+    x, residual = x0, difference(image0, y)
     records, valuations = [], [residual.valuation]
+    failed = {}
     for n in range(steps):
-        if residual.is_zero():
+        if not any(residual.coefficients):
             break
         if x.coefficients[0] == 0:
-            records.append(StepRecord(n, radius, math.inf, ps_norm(residual, radius), 0.0, False, {}))
-            return IterationReport(engine, tuple(records), "singular", {"failed_step": n}), x, tuple(valuations)
-        xi = TruncatedPowerSeries(D, "exact", weighted_exact_solve(x, residual, defect))
-        defect_norm = ps_norm(residual - linearization_action(x, xi), radius)
+            r_norm = ps_norm(residual, radius)
+            records.append(StepRecord(n, radius, math.inf, r_norm, r_norm, False, {}))
+            failed = {"failed_step": n}
+            break
+        xi = exact(weighted_exact_solve(x, residual, defect))
+        defect_norm = ps_norm(difference(residual, exact(two_product_linearization(x, xi))), radius)
         r_norm = ps_norm(residual, radius)
-        x = x - xi
-        residual = eps_integral_map(x) - y
+        x = difference(x, xi)
+        residual = difference(exact(two_product_map(x)), y)
         next_norm = ps_norm(residual, radius)
         valuations.append(residual.valuation)
         extras = {
@@ -361,15 +381,19 @@ def fraction_newton(y, x0, steps, defect, radius):
         ok = next_norm <= r_norm * (1.0 + 1e-9) if r_norm > 0.0 else True
         records.append(StepRecord(n, radius, ps_norm(xi, radius), next_norm, r_norm, ok, extras))
     final = ps_norm(residual, radius)
-    zero_or_small = residual.is_zero() or final < CAUCHY_TOL
-    verdict = "converged" if zero_or_small else _verdict_from_steps([r.step_norm for r in records])
+    zero_or_small = not any(residual.coefficients) or final < CAUCHY_TOL
+    if failed:
+        verdict = "singular"
+    else:
+        verdict = "converged" if zero_or_small else _verdict_from_steps([r.step_norm for r in records])
     meta = {
         "norm_radius": radius,
         "defect": defect,
         "final_residual_norm": final,
-        "initial_residual_norm": ps_norm(image0 - y, radius),
-        "initial_drift_norm": ps_norm(image0 - x0, radius),
-        "defect_ratio_max": max((r.extras["defect_ratio"] for r in records), default=0.0),
+        "initial_residual_norm": ps_norm(difference(image0, y), radius),
+        "initial_drift_norm": ps_norm(difference(image0, x0), radius),
+        "defect_ratio_max": max((r.extras["defect_ratio"] for r in records if r.extras), default=0.0),
+        **failed,
     }
     return IterationReport(engine, tuple(records), verdict, meta), x, tuple(valuations)
 
@@ -431,10 +455,11 @@ def test_defect_is_its_own_product_not_the_solve(monkeypatch):
 
     monkeypatch.setattr(engines, "_divide", off_by_one)
     first = newton_invert(y, x0, 1, radius).report.steps[0]
-    xi = TruncatedPowerSeries(D, "exact", solves[0])
-    residual = eps_integral_map(x0) - y
-    assert first.extras["defect_norm"] == ps_norm(residual - linearization_action(x0, xi), radius) > 0.0
-    assert first.residual == ps_norm(eps_integral_map(x0 - xi) - y, radius)
+    xi = exact(solves[0])
+    residual = difference(exact(two_product_map(x0)), y)
+    linear = exact(two_product_linearization(x0, xi))
+    assert first.extras["defect_norm"] == ps_norm(difference(residual, linear), radius) > 0.0
+    assert first.residual == ps_norm(difference(exact(two_product_map(difference(x0, xi))), y), radius)
 
 
 def fraction_division(nq, dq, nx, dx, rows):
@@ -495,15 +520,14 @@ def test_integer_prologue_matches_fraction_forms():
     # X, Q, the residual Q' and the drift (X^2/2)' - x0 are built on integers;
     # they equal the Fraction series x0 * integral(x0) - y and - x0, and so do their norms
     for y, x0, defect in _prologue_cases(random.Random(1414)):
-        image0 = eps_integral_map(x0)
+        image0 = exact(two_product_map(x0))
         newton = _ExactNewton(x0, y, defect)
-        for state, want in ((newton.residual, image0 - y), (newton.drift, image0 - x0)):
-            nums, den = state
-            assert tuple(Fraction(n, den) for n in nums) == want.coefficients, (y, x0)
+        for state, want in ((newton.residual, difference(image0, y)), (newton.drift, difference(image0, x0))):
+            assert as_fractions(state) == want.coefficients, (y, x0)
         for radius in (0.2, 0.5, 1.7):
             meta = run_newton(y, x0, 1, defect, radius).report.meta
-            assert meta["initial_residual_norm"] == ps_norm(image0 - y, radius)
-            assert meta["initial_drift_norm"] == ps_norm(image0 - x0, radius)
+            assert meta["initial_residual_norm"] == ps_norm(difference(image0, y), radius)
+            assert meta["initial_drift_norm"] == ps_norm(difference(image0, x0), radius)
 
 
 # ---- float Newton on real doubles against its complex form --------------------

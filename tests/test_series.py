@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from scale_iter.engines import _solve_linearization, _solve_weights
 from scale_iter.series import (
     Derivation,
-    GeneratorValuationError,
     ModeMismatchError,
     TruncatedPowerSeries,
+    _cauchy,
+    _common_denominator,
+    _derivative,
+    _float_norm,
+    _integral_numerators,
+    _lie_exp,
     _numerator_norm,
-    linearization_action,
-    ps_add,
-    ps_antiderive,
     ps_derive,
-    ps_lie_exp,
     ps_mul,
     ps_norm,
 )
@@ -30,6 +32,24 @@ def reals(f):
     return [str(c) for c in f.coefficients]
 
 
+def add(f, g):
+    return TruncatedPowerSeries(f.truncation, f.mode, tuple(a + b for a, b in zip(f.coefficients, g.coefficients)))
+
+
+def difference(f, g):
+    return TruncatedPowerSeries(f.truncation, f.mode, tuple(a - b for a, b in zip(f.coefficients, g.coefficients)))
+
+
+def is_zero(f):
+    return not any(f.coefficients)
+
+
+def lie_exp(g, f):
+    """_lie_exp on the numerators of the exact series g and f, back as a series."""
+    nums, den = _lie_exp(*_common_denominator(g.coefficients), *_common_denominator(f.coefficients))
+    return TruncatedPowerSeries(f.truncation, "exact", tuple(Fraction(n, den) for n in nums))
+
+
 def test_mul_difference_of_squares():
     one_plus = S({0: 1, 1: 1}, 5)
     one_minus = S({0: 1, 1: -1}, 5)
@@ -37,7 +57,7 @@ def test_mul_difference_of_squares():
 
 
 def test_mul_truncates_high_degrees():
-    assert ps_mul(S({3: 1}, 5), S({4: 1}, 5)).is_zero()
+    assert is_zero(ps_mul(S({3: 1}, 5), S({4: 1}, 5)))
 
 
 def test_mul_hand_expansion():
@@ -65,8 +85,8 @@ def test_ring_axioms_on_random_exact_series():
         assert (
             ps_mul(ps_mul(f, g), h).coefficients == ps_mul(f, ps_mul(g, h)).coefficients
         )
-        lhs = ps_mul(ps_add(f, g), h)
-        rhs = ps_add(ps_mul(f, h), ps_mul(g, h))
+        lhs = ps_mul(add(f, g), h)
+        rhs = add(ps_mul(f, h), ps_mul(g, h))
         assert lhs.coefficients == rhs.coefficients
         one = S({0: 1}, D)
         assert ps_mul(f, one).coefficients == f.coefficients
@@ -74,21 +94,9 @@ def test_ring_axioms_on_random_exact_series():
 
 def test_mode_mismatch_rejected():
     with pytest.raises(ModeMismatchError):
-        ps_add(S({0: 1}, 4), S({0: 1}, 4, "float"))
+        ps_mul(S({0: 1}, 4), S({0: 1}, 4, "float"))
     with pytest.raises(ModeMismatchError):
         ps_mul(S({0: 1}, 4), S({0: 1}, 5))
-
-
-def test_antiderive_monomial_rule():
-    for k in (0, 2, 5):
-        anti, dropped = ps_antiderive(S({k: 1}, 8))
-        assert anti.real_coefficient(k + 1) == Fraction(1, k + 1)
-        assert not dropped
-
-
-def test_antiderive_drops_top_with_flag():
-    anti, dropped = ps_antiderive(S({8: 3}, 8))
-    assert anti.is_zero() and dropped
 
 
 def test_derive_example():
@@ -97,8 +105,10 @@ def test_derive_example():
 
 
 def test_derive_antiderive_round_trip():
+    # the integral's numerators at degrees 1..6 hold c_(k-1)/k over one denominator
     f = S({0: 2, 1: -1, 3: Fraction(5, 7)}, 6)
-    anti, _ = ps_antiderive(f)
+    nums, den = _integral_numerators(f.coefficients[:-1])
+    anti = TruncatedPowerSeries(6, "exact", (Fraction(0), *(Fraction(n, den) for n in nums)))
     assert ps_derive(anti).coefficients == f.coefficients
 
 
@@ -107,12 +117,11 @@ def test_lie_exp_matches_flow_composition():
     # flow of -x^2 d/dx, computed by series composition
     D = 10
     f = S({2: Fraction(1, 2), 3: 1}, D)
-    v = Derivation(S({2: -1}, D))
-    lie = ps_lie_exp(v, f)
+    lie = lie_exp(S({2: -1}, D), f)
 
     phi = S({k: Fraction((-1) ** (k + 1)) for k in range(1, D + 1)}, D)
     phi2 = ps_mul(phi, phi)
-    oracle = ps_add(ps_mul(phi2, S({0: Fraction(1, 2)}, D)), ps_mul(phi2, phi))
+    oracle = add(ps_mul(phi2, S({0: Fraction(1, 2)}, D)), ps_mul(phi2, phi))
     assert lie.coefficients == oracle.coefficients
     assert lie.real_coefficient(4) == Fraction(-3, 2)
     assert lie.real_coefficient(5) == 4
@@ -144,8 +153,7 @@ def test_lie_exp_quartic_quintic_elimination():
         },
         D,
     )
-    v = Derivation(S({3: Fraction(3, 2), 4: -5}, D))
-    out = ps_lie_exp(v, f)
+    out = lie_exp(S({3: Fraction(3, 2), 4: -5}, D), f)
     assert out.real_coefficient(4) == 0
     assert out.real_coefficient(5) == 0
     assert out.real_coefficient(6) == Fraction(-223, 24)
@@ -155,13 +163,7 @@ def test_lie_exp_quartic_quintic_elimination():
 def test_lie_exp_fixes_constants():
     D = 6
     one = S({0: 1}, D)
-    v = Derivation(S({2: 7, 3: -2}, D))
-    assert ps_lie_exp(v, one).coefficients == one.coefficients
-
-
-def test_lie_exp_rejects_low_valuation_generator():
-    with pytest.raises(GeneratorValuationError):
-        ps_lie_exp(Derivation(S({1: 1}, 5)), S({2: 1}, 5))
+    assert lie_exp(S({2: 7, 3: -2}, D), one).coefficients == one.coefficients
 
 
 def lie_series_loop(g, f):
@@ -170,9 +172,9 @@ def lie_series_loop(g, f):
     j = 1
     while True:
         term = ps_mul(ps_mul(g, ps_derive(term)), S({0: Fraction(1, j)}, f.truncation, f.mode))
-        if term.is_zero():
+        if is_zero(term):
             return acc
-        acc = ps_add(acc, term)
+        acc = add(acc, term)
         j += 1
 
 
@@ -187,37 +189,37 @@ def test_lie_exp_matches_the_term_by_term_loop():
     for _ in range(40):
         D = rng.randint(6, 24)
         g, f = rand(D, rng.randint(2, 4)), rand(D, 0)
-        assert ps_lie_exp(Derivation(g), f) == lie_series_loop(g, f)
+        assert lie_exp(g, f) == lie_series_loop(g, f)
     f = rand(12, 0)
-    assert ps_lie_exp(Derivation(TruncatedPowerSeries.zero(12)), f) == f
-
-
-def test_lie_exp_is_exact_only():
-    with pytest.raises(ModeMismatchError):
-        ps_lie_exp(Derivation(S({2: -1.0}, 5, "float")), S({2: 0.5}, 5, "float"))
+    assert lie_exp(TruncatedPowerSeries.zero(12), f) == f
 
 
 def test_lie_exp_stable_under_retruncation():
     D, D_big = 9, 14
     f = S({2: Fraction(1, 2), 3: 1, 4: Fraction(2, 3)}, D)
-    v = Derivation(S({2: -1, 3: Fraction(1, 5)}, D))
+    g = S({2: -1, 3: Fraction(1, 5)}, D)
     pad = (Fraction(0),) * (D_big - D)
-    small = ps_lie_exp(v, f)
-    big = ps_lie_exp(
-        Derivation(TruncatedPowerSeries(D_big, "exact", v.generator.coefficients + pad)),
+    small = lie_exp(g, f)
+    big = lie_exp(
+        TruncatedPowerSeries(D_big, "exact", g.coefficients + pad),
         TruncatedPowerSeries(D_big, "exact", f.coefficients + pad),
     )
     assert small.coefficients == big.coefficients[: D + 1]
 
 
 def test_linearization_action_monomials():
+    # at x = 1, L(x) xi = x * integral(xi) + xi * integral(x) sends z^k to
+    # (k+2)/(k+1) z^(k+1): exact Newton forms it as (X Xi)' on integers, and
+    # the float solve inverts it there
     D = 6
-    one = S({0: 1}, D)
+    nx, dx = _integral_numerators(S({0: 1}, D).coefficients[:-1])
     for k in (0, 1, 3):
-        out = linearization_action(one, S({k: 1}, D))
-        assert out.real_coefficient(k + 1) == Fraction(k + 2, k + 1)
-        assert out.valuation == k + 1
-    assert linearization_action(one, TruncatedPowerSeries.zero(D)).is_zero()
+        nxi, dxi = _integral_numerators(S({k: 1}, D).coefficients[:-1])
+        nums, den = _derivative(_cauchy(nx, nxi, D - 1, 0), dx * dxi)
+        assert [Fraction(n, den) for n in nums] == [Fraction(k + 2, k + 1) * (j == k + 1) for j in range(D + 1)]
+        rhs = [(k + 2) / (k + 1) * (j == k + 1) for j in range(D + 1)]
+        assert _solve_linearization([1.0] + [0.0] * D, rhs, _solve_weights(D), 0) == [float(j == k) for j in range(D + 1)]
+    assert not any(_solve_linearization([1.0] + [0.0] * D, [0.0] * (D + 1), _solve_weights(D), 0))
 
 
 def test_norm_examples():
@@ -237,6 +239,24 @@ def test_norm_examples():
     assert ps_norm(S({1: 1.0, 40: 1e-300}, 40, "float"), 1e10) == pytest.approx(1e100, rel=1e-12)
     for mode in ("exact", "float"):
         assert ps_norm(S({400: 1}, 400, mode), 20.0) == math.inf
+
+
+def test_norm_of_a_nonzero_series_is_not_zero_where_t_to_the_k_underflows():
+    # 0.04^300 is below the normal floats, so the direct term of 10^200 z^300
+    # reads 0.0; the log-domain sum gives 10^200 * 0.04^300, about 4.1e-220
+    want = float(10**200 * Fraction(0.04) ** 300)
+    for mode in ("exact", "float"):
+        assert ps_norm(S({300: 10**200}, 300, mode), 0.04) == pytest.approx(want, rel=1e-12)
+        # a subnormal 0.5^1030 keeps too few digits for a direct term
+        f = S({1: 1, 1030: Fraction(10**300)}, 1030, mode)
+        assert ps_norm(f, 0.5) == pytest.approx(float(Fraction(1, 2) + 10**300 * Fraction(1, 2**1030)), rel=1e-12)
+    assert _numerator_norm([0] * 300 + [10**200], 1, 0.04) == ps_norm(S({300: 10**200}, 300), 0.04)
+    # a nan coefficient still reads nan, beside an inf one too, and an inf one inf
+    top = [0.0] * 300
+    assert math.isnan(_float_norm([1.0, *top, math.nan], 0.04))
+    assert math.isnan(_float_norm([math.nan, *top, math.inf], 0.04))
+    assert math.isnan(_float_norm([math.inf, *top, math.nan], 0.04))
+    assert _float_norm([1.0, *top, math.inf], 0.04) == math.inf
 
 
 def test_exact_norm_past_the_float_range():
