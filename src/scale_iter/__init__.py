@@ -48,7 +48,6 @@ from .engines import (
     kam_run,
     morse_run,
     newton_invert,
-    quasi_newton_run,
 )
 
 __version__ = "0.1.0"

@@ -142,8 +142,12 @@ def _sequence(spec, horizon: int) -> bruno.BrunoSequence:
         return bruno.BrunoSequence.phase_power(
             _number(spec, "scale", 1.0), _number(spec, "exponent"), _sign(spec), horizon
         )
+    if sum(key in spec for key in ("terms", "log_terms", "phases")) > 1:
+        raise ConfigError("an explicit sequence takes exactly one of 'terms', 'log_terms' or 'phases'")
     if "phases" in spec:
         return bruno.BrunoSequence.from_phases(_sign(spec), _numbers(spec, "phases"))
+    if "sign" in spec:
+        raise ConfigError("an explicit sequence takes 'sign' only with 'phases'")
     if "log_terms" in spec:
         return bruno.BrunoSequence.from_log_terms(_numbers(spec, "log_terms"))
     return bruno.BrunoSequence.from_terms(_numbers(spec, "terms"))
@@ -264,6 +268,8 @@ def _parse_schedule(cfg: dict) -> Command:
         if rho.log_term(n) >= -math.log(2.0) * (1.0 - 1e-12):
             raise ConfigError(f"rho term at {n} is >= 1/2; the schedule hypothesis requires rho < 1/2")
     factor = _factor(cfg["factor"], max(steps, 2)) if "factor" in cfg else None
+    if factor is not None and not isinstance(factor, factors.LocalFactor):
+        raise ConfigError("schedule checks its radii against a local factor only")
 
     def command() -> tuple[dict, int]:
         sched = factors.schedule_build(t, rho, steps, shift)
@@ -274,7 +280,7 @@ def _parse_schedule(cfg: dict) -> Command:
             "s_inf": sched.s_inf,
             "exponent_shift": shift,
         }
-        if isinstance(factor, factors.LocalFactor):
+        if factor is not None:
             check = factors.geometric_bound_check(factor, sched)
             payload["bound_flags"] = list(check.flags)
             payload["log_bounds"] = list(check.log_bounds)
@@ -350,10 +356,7 @@ def _parse_newton(cfg: dict) -> Command:
         raise ConfigError("x0 must have a nonzero constant term")
 
     def command() -> tuple[dict, int]:
-        if defect:
-            result = engines.quasi_newton_run(y, x0, steps, defect, radius)
-        else:
-            result = engines.newton_invert(y, x0, steps, radius)
+        result = engines.newton_invert(y, x0, steps, radius, defect)
         payload = {"report": result.report}
         payload["residual_valuations"] = list(result.residual_valuations)
         return payload, 0 if result.report.verdict == "converged" else 2
@@ -541,17 +544,14 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    # a config, or each entry of a batch, without a command runs the one named here
+    for entry in config if isinstance(config, list) else [config]:
+        if isinstance(entry, dict) and entry.setdefault("command", args.command) != args.command:
+            print(f"config error: config command {entry['command']!r} does not match {args.command!r}", file=sys.stderr)
+            return 1
     out = Path(args.out) if args.out else None
     if isinstance(config, list):
         return run_batch(config, out, args.format, args.seed)
-    if isinstance(config, dict) and "command" not in config:
-        config["command"] = args.command
-    elif isinstance(config, dict) and config.get("command") != args.command:
-        print(
-            f"config error: config command {config.get('command')!r} does not match {args.command!r}",
-            file=sys.stderr,
-        )
-        return 1
     return run(config, out, args.format, args.seed)
 
 

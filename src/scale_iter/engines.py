@@ -70,7 +70,6 @@ __all__ = [
     "morse_run",
     "circle_run",
     "newton_invert",
-    "quasi_newton_run",
     "contraction_run",
     "kam_run",
     "scalar_contraction_family",
@@ -210,7 +209,7 @@ def morse_run(f0: TruncatedPowerSeries, steps: int) -> MorseResult:
         raise PreconditionError("normal-form runs require exact mode")
     if f0.truncation < 2**steps + 2:
         raise PreconditionError(f"truncation {f0.truncation} too small; need at least {2 ** steps + 2}")
-    if f0.real_coefficient(2) != Fraction(1, 2) or any(f0.coefficients[:2]):
+    if f0.coefficients[2] != Fraction(1, 2) or any(f0.coefficients[:2]):
         raise PreconditionError("input must be x^2/2 plus a remainder of valuation >= 3")
 
     D = f0.truncation
@@ -469,15 +468,24 @@ class NewtonResult:
     residual_valuations: tuple[int, ...]
 
 
-def _newton_loop(
+def newton_invert(
     y: TruncatedPowerSeries,
     x0: TruncatedPowerSeries,
     steps: int,
-    defect: int,
-    norm_radius: float,
-    engine: str,
+    norm_radius: float = 0.5,
+    defect: int = 0,
 ) -> NewtonResult:
-    """Every norm sits at norm_radius; a step's residual norm is carried on as the next step's bound."""
+    """Newton iteration x' = x - L(x)(f(x) - y) for f(x) = x * integral(x).
+
+    L(x) inverts the linearization degree by degree; the residual valuation
+    then satisfies v' = 2v - 1 exactly until the truncation absorbs it, the
+    series-ring face of quadratic convergence.  A positive defect drops the
+    top `defect` rows of the triangular solve, so the correction only
+    approximately inverts the linearization (engine "quasi-newton"); the
+    per-step defect norm and its ratio to |residual|^2 are recorded instead
+    of being assumed small.  Every norm sits at norm_radius; a step's
+    residual norm is carried on as the next step's bound.
+    """
     if y.valuation < 1:
         raise PreconditionError("target must vanish at the origin")
     if x0.coefficients[0] == 0:
@@ -531,7 +539,7 @@ def _newton_loop(
     else:
         verdict = _verdict_from_steps([r.step_norm for r in records])
     report = IterationReport(
-        engine,
+        "quasi-newton" if defect else "newton",
         tuple(records),
         verdict,
         {
@@ -545,38 +553,6 @@ def _newton_loop(
         },
     )
     return NewtonResult(report, newton.solution(), tuple(valuations))
-
-
-def newton_invert(
-    y: TruncatedPowerSeries,
-    x0: TruncatedPowerSeries,
-    steps: int,
-    norm_radius: float = 0.5,
-) -> NewtonResult:
-    """Newton iteration x' = x - L(x)(f(x) - y) for f(x) = x * integral(x).
-
-    L(x) inverts the linearization degree by degree; the residual valuation
-    then satisfies v' = 2v - 1 exactly until the truncation absorbs it, the
-    series-ring face of quadratic convergence.
-    """
-    return _newton_loop(y, x0, steps, 0, norm_radius, "newton")
-
-
-def quasi_newton_run(
-    y: TruncatedPowerSeries,
-    x0: TruncatedPowerSeries,
-    steps: int,
-    defect: int,
-    norm_radius: float = 0.5,
-) -> NewtonResult:
-    """Newton iteration with a deliberately degraded inverse.
-
-    The top `defect` rows of the triangular solve are dropped, so the
-    returned correction only approximately inverts the linearization; the
-    per-step defect norm and its ratio to |residual|^2 are recorded instead
-    of being assumed small.
-    """
-    return _newton_loop(y, x0, steps, defect, norm_radius, "quasi-newton")
 
 
 # ---------------------------------------------------------------------------

@@ -191,12 +191,6 @@ class TruncatedPowerSeries:
                 return k
         return self.truncation + 1
 
-    def real_coefficient(self, k: int) -> Fraction:
-        """An exact coefficient, as a Fraction."""
-        if self.mode != "exact":
-            raise ModeMismatchError("real_coefficient requires exact mode")
-        return self.coefficients[k]
-
     def to_float(self) -> "TruncatedPowerSeries":
         if self.mode == "float":
             return self

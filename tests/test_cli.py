@@ -276,7 +276,7 @@ def _emission_cases():
         ),
         (
             {"command": "newton", "steps": 4, "truncation": D, "defect": 2, "y": {"1": "1", "2": "1/10"}},
-            lambda: engines.quasi_newton_run(exact_y, TruncatedPowerSeries.from_dict({0: 1}, D), 4, 2),
+            lambda: engines.newton_invert(exact_y, TruncatedPowerSeries.from_dict({0: 1}, D), 4, defect=2),
         ),
         (
             {"command": "drive", "kind": "kam", "t": 4.0, "x0": 0.25, "steps": 25},
@@ -400,7 +400,7 @@ def test_runs_are_byte_deterministic(tmp_path):
 
 def test_batch_configs_run_independently(tmp_path):
     batch = [
-        {"command": "bruno", "kind": "constant", "value": 1.0},
+        {"command": "tame", "a": {"kind": "geometric", "ratio": 2.0}, "b": {"kind": "geometric", "ratio": 0.25}},
         {
             "command": "tame",
             "a": {"kind": "geometric", "ratio": 4.0},
@@ -410,10 +410,59 @@ def test_batch_configs_run_independently(tmp_path):
     ]
     cfg_path = write_config(tmp_path, "batch.json", batch)
     out = tmp_path / "batch.json.out"
-    code = cli.main(["bruno", "--config", str(cfg_path), "--out", str(out)])
+    code = cli.main(["tame", "--config", str(cfg_path), "--out", str(out)])
     assert code == 2  # worst verdict in the batch
     assert (tmp_path / "batch.json.0.out").exists()
     assert (tmp_path / "batch.json.1.out").exists()
+
+
+# bruno entries by exit code: 0 verdict success, 2 verdict failure, 1 config error
+BATCH_ENTRY = {
+    0: {"kind": "constant", "value": 1.0},
+    2: {"kind": "constant", "value": 0.5, "horizon": 8},
+    1: {"kind": "constant", "value": "0.5"},
+}
+
+
+def test_batch_entries_take_the_command_line_command(tmp_path, capsys):
+    batch = [{"kind": "constant", "value": 0.25, "horizon": 48}, {"command": "bruno", "kind": "constant", "value": 1.0}]
+    code = cli.main(["bruno", "--config", str(write_config(tmp_path, "b.json", batch))])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [json.loads(line)["command"] for line in lines] == ["bruno", "bruno"]
+
+
+def test_batch_with_an_entry_for_another_command_runs_nothing(tmp_path, capsys):
+    tame = {"command": "tame", "a": {"kind": "geometric", "ratio": 2.0}, "b": {"kind": "geometric", "ratio": 0.25}}
+    batch = [{"kind": "constant", "value": 0.25, "horizon": 48}, tame]
+    out = tmp_path / "b.out"
+    assert cli.main(["bruno", "--config", str(write_config(tmp_path, "b.json", batch)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: config command 'tame' does not match 'bruno'\n"
+    assert list(tmp_path.glob("b.*.out")) == []
+
+
+@pytest.mark.parametrize(
+    "codes, worst",
+    [((0, 0), 0), ((2, 0), 2), ((0, 1, 2), 1), ((2, 1, 0), 1)],
+)
+def test_batch_exits_with_the_worst_code(codes, worst, tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "b.json", [BATCH_ENTRY[c] for c in codes])
+    assert cli.main(["bruno", "--config", str(cfg_path)]) == worst
+    capsys.readouterr()
+
+
+def test_batch_out_files_get_an_index_suffix(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "b.json", [BATCH_ENTRY[0], BATCH_ENTRY[2]])
+    out = tmp_path / "report.json"
+    assert cli.main(["bruno", "--config", str(cfg_path), "--out", str(out), "--seed", "4"]) == 2
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.glob("report*")) == ["report.0.json", "report.1.json"]
+    for i, entry in enumerate((BATCH_ENTRY[0], BATCH_ENTRY[2])):
+        want = tmp_path / f"want.{i}.json"
+        cli.run({"command": "bruno", **entry}, want, seed=4)
+        assert (tmp_path / f"report.{i}.json").read_bytes() == want.read_bytes()
 
 
 def test_main_writes_out_file(tmp_path):
@@ -641,6 +690,21 @@ PARSE_FAILURES = [
     {"command": "morse", "remainder": {"2": "1"}},
     {"command": "morse", "remainder": {"2": "1/2", "3": "1"}},
     {"command": "morse", "remainder": {"0": "0"}},
+    # an explicit sequence with two forms read only one, and a sign without phases was ignored
+    {
+        "command": "bruno",
+        "sequence": {"kind": "explicit", "log_terms": [0.1, 0.2, 0.3], "phases": [9, 9, 9]},
+        "horizon": 2,
+    },
+    {"command": "bruno", "sequence": {"kind": "explicit", "terms": [2, 3, 4], "sign": "-"}, "horizon": 2},
+    # schedule checks its radii against a local factor only; these ran with no bound_flags
+    {"command": "schedule", "rho": {"kind": "constant", "value": 0.25}, "steps": 4, "factor": {"type": "kam"}},
+    {
+        "command": "schedule",
+        "rho": {"kind": "constant", "value": 0.25},
+        "steps": 4,
+        "factor": {"type": "perturbative"},
+    },
 ]
 
 
@@ -953,6 +1017,10 @@ def test_every_name_in_all_resolves():
     root_names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
     assert [n for n in root_names if not hasattr(scale_iter, n)] == []
     assert {"BrunoSequence", "quadratic_orbit"} <= set(root_names)  # bench/checks.py imports these
+    # the engine metrics of bench/spans.py sum the self time of these names, and read 0 without them
+    for name in ("morse_run", "newton_invert", "circle_run", "contraction_run", "kam_run"):
+        fn = getattr(engines, name)
+        assert name in engines.__all__ and inspect.isfunction(fn) and fn.__module__ == engines.__name__, name
     from scale_iter import fourier, series
 
     assert inspect.isfunction(series.Derivation.__dict__["apply"])

@@ -21,7 +21,6 @@ from scale_iter.engines import (
     kam_run,
     morse_run,
     newton_invert,
-    quasi_newton_run,
     report_csv_rows,
     report_to_json,
     scalar_contraction_family,
@@ -47,23 +46,23 @@ def seed_function(D=8):
 def test_morse_step_one_matches_flow_oracle():
     res = morse_run(seed_function(10), 1)
     f1 = res.functions[1]
-    assert f1.real_coefficient(3) == 0
-    assert f1.real_coefficient(4) == Fraction(-3, 2)
-    assert f1.real_coefficient(5) == 4
-    assert f1.real_coefficient(6) == Fraction(-15, 2)
-    assert f1.real_coefficient(7) == 12
-    assert res.generators[0].real_coefficient(2) == -1
+    assert f1.coefficients[3] == 0
+    assert f1.coefficients[4] == Fraction(-3, 2)
+    assert f1.coefficients[5] == 4
+    assert f1.coefficients[6] == Fraction(-15, 2)
+    assert f1.coefficients[7] == 12
+    assert res.generators[0].coefficients[2] == -1
 
 
 def test_morse_step_two_eliminates_quartic_block():
     res = morse_run(seed_function(10), 2)
     f2 = res.functions[2]
-    assert f2.real_coefficient(4) == 0 and f2.real_coefficient(5) == 0
-    assert f2.real_coefficient(6) == Fraction(-12, 1)
-    assert f2.real_coefficient(7) == Fraction(39, 1)
+    assert f2.coefficients[4] == 0 and f2.coefficients[5] == 0
+    assert f2.coefficients[6] == Fraction(-12, 1)
+    assert f2.coefficients[7] == Fraction(39, 1)
     g1 = res.generators[1]
-    assert g1.real_coefficient(3) == Fraction(3, 2)
-    assert g1.real_coefficient(4) == -4
+    assert g1.coefficients[3] == Fraction(3, 2)
+    assert g1.coefficients[4] == -4
 
 
 def test_morse_generator_is_the_negated_block_over_x():
@@ -74,7 +73,7 @@ def test_morse_generator_is_the_negated_block_over_x():
     res = morse_run(f, 3)
     for n, (g, f_n) in enumerate(zip(res.generators, res.functions)):
         lead = 2**n + 2
-        assert g == S({d - 1: -f_n.real_coefficient(d) for d in range(lead, lead + 2**n)}, 10), n
+        assert g == S({d - 1: -f_n.coefficients[d] for d in range(lead, lead + 2**n)}, 10), n
         assert g.valuation >= lead - 1
 
 
@@ -196,7 +195,7 @@ def test_circle_report_has_harmonic_columns():
 
 
 # ---------------------------------------------------------------------------
-# newton_invert / quasi_newton_run
+# newton_invert, exact and quasi (defect > 0)
 # ---------------------------------------------------------------------------
 
 
@@ -309,16 +308,8 @@ def test_newton_zero_target_float_and_exact_agree():
     assert exact.solution.coefficients[0] == Fraction(1, 2**80)
 
 
-def test_quasi_newton_zero_defect_identical():
-    exact = newton_invert(target_series(), start_series(), 5)
-    quasi = quasi_newton_run(target_series(), start_series(), 5, 0)
-    assert [r.step_norm for r in exact.report.steps] == [
-        r.step_norm for r in quasi.report.steps
-    ]
-
-
 def test_quasi_newton_small_defect_converges():
-    res = quasi_newton_run(target_series(mode="float"), start_series(mode="float"), 10, 2)
+    res = newton_invert(target_series(mode="float"), start_series(mode="float"), 10, defect=2)
     assert res.report.verdict == "converged"
     defects = [r.extras["defect_norm"] for r in res.report.steps]
     residuals = [r.residual for r in res.report.steps]
@@ -327,7 +318,7 @@ def test_quasi_newton_small_defect_converges():
 
 
 def test_quasi_newton_full_defect_is_stationary():
-    res = quasi_newton_run(target_series(mode="float"), start_series(mode="float"), 3, 32)
+    res = newton_invert(target_series(mode="float"), start_series(mode="float"), 3, defect=32)
     assert all(r.step_norm == 0.0 for r in res.report.steps)
     assert res.report.verdict != "converged"
 
@@ -342,7 +333,7 @@ def _norm_chain_cases(rng):
         x0 = {0: Fraction(rng.choice([1, 3, -2]), rng.choice([1, 2]))}
         if rng.random() < 0.5:
             x0[rng.randint(1, D)] = Fraction(rng.randint(-5, 5), 3)
-        defect = rng.choice([0, 0, 1, 2, D])  # 0 runs newton_invert, the rest quasi-Newton
+        defect = rng.choice([0, 0, 1, 2, D])  # 0 runs exact Newton, the rest quasi-Newton
         yield mode, y, x0, D, rng.randint(0, 7), defect, rng.choice([0.2, 0.5, 0.9, 1.7])
     yield "exact", {1: -1}, {0: 1}, 12, 4, 0, 0.5  # x_0 reaches zero at step 1: singular
     yield "float", {1: -1}, {0: 1}, 12, 4, 1, 0.5
@@ -371,10 +362,7 @@ def test_newton_takes_each_residual_norm_once_along_the_chain(monkeypatch):
     for mode, y, x0, D, steps, defect, radius in _norm_chain_cases(random.Random(1975)):
         ys, xs = S(y, D, mode), S(x0, D, mode)
         calls.clear()
-        if defect:
-            res = quasi_newton_run(ys, xs, steps, defect, radius)
-        else:
-            res = newton_invert(ys, xs, steps, radius)
+        res = newton_invert(ys, xs, steps, radius, defect=defect)
         report, case = res.report, (mode, y, x0, D, steps, defect, radius)
         verdicts.add(report.verdict)
         records = report.steps

@@ -5,9 +5,9 @@ numerators over common denominators; here they are compared with direct
 Fraction loops, and the exact model map x * integral(x) and its
 linearization, which exact Newton forms as (X^2/2)' and (X Xi)' on integer
 numerators, with their two-product Fraction forms.  Exact Newton keeps its
-whole state on integers, so newton_invert and quasi_newton_run are compared,
-report float for report float, with a Fraction Newton loop built from those
-two-product forms and ps_norm; its integer prologue and its row division are
+whole state on integers, so newton_invert, at zero and positive defect, is
+compared report float for report float with a Fraction Newton loop built
+from those two-product forms and ps_norm; its integer prologue and its row division are
 compared with their Fraction forms too.  Float Newton runs on lists of
 doubles and its kernels keep their summation order, so they are compared bit
 for bit with the loops they replaced, and float Newton with a copy of itself
@@ -41,7 +41,6 @@ from scale_iter.engines import (
     _verdict_from_steps,
     circle_run,
     newton_invert,
-    quasi_newton_run,
 )
 from scale_iter.fourier import (
     CircleVectorField,
@@ -398,12 +397,6 @@ def fraction_newton(y, x0, steps, defect, radius):
     return IterationReport(engine, tuple(records), verdict, meta), x, tuple(valuations)
 
 
-def run_newton(y, x0, steps, defect, radius):
-    if defect:
-        return quasi_newton_run(y, x0, steps, defect, radius)
-    return newton_invert(y, x0, steps, radius)
-
-
 def _newton_cases(rng):
     for D in (2, 3, 5, 8, 13, 21, 32, 47, 64):
         for defect in sorted({0, 1, 2, D}):
@@ -429,7 +422,7 @@ def test_integer_newton_matches_fraction_newton():
     verdicts = set()
     for y, x0, D, steps, defect, radius in _newton_cases(random.Random(808)):
         ys, xs = TruncatedPowerSeries.from_dict(y, D), TruncatedPowerSeries.from_dict(x0, D)
-        got = run_newton(ys, xs, steps, defect, radius)
+        got = newton_invert(ys, xs, steps, radius, defect)
         report, solution, valuations = fraction_newton(ys, xs, steps, defect, radius)
         case = (y, x0, D, steps, defect, radius)
         assert got.solution == solution, case
@@ -525,7 +518,7 @@ def test_integer_prologue_matches_fraction_forms():
         for state, want in ((newton.residual, difference(image0, y)), (newton.drift, difference(image0, x0))):
             assert as_fractions(state) == want.coefficients, (y, x0)
         for radius in (0.2, 0.5, 1.7):
-            meta = run_newton(y, x0, 1, defect, radius).report.meta
+            meta = newton_invert(y, x0, 1, radius, defect).report.meta
             assert meta["initial_residual_norm"] == ps_norm(difference(image0, y), radius)
             assert meta["initial_drift_norm"] == ps_norm(difference(image0, x0), radius)
 
@@ -614,7 +607,7 @@ def test_float_newton_matches_its_complex_form_bit_for_bit():
     for y, x0, D, steps, defect, radius in _float_newton_cases(random.Random(3141)):
         ys = TruncatedPowerSeries.from_dict(y, D, "float")
         xs = TruncatedPowerSeries.from_dict(x0, D, "float")
-        got = run_newton(ys, xs, steps, defect, radius)
+        got = newton_invert(ys, xs, steps, radius, defect)
         steps_out, meta, valuations, x, seen = complex_newton(
             [complex(c) for c in ys.coefficients], [complex(c) for c in xs.coefficients], steps, defect, radius
         )

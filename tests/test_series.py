@@ -63,10 +63,10 @@ def test_mul_truncates_high_degrees():
 def test_mul_hand_expansion():
     f = S({2: Fraction(1, 2), 3: 1}, 8)
     sq = ps_mul(f, f)
-    assert sq.real_coefficient(4) == Fraction(1, 4)
-    assert sq.real_coefficient(5) == 1
-    assert sq.real_coefficient(6) == 1
-    assert all(sq.real_coefficient(k) == 0 for k in (0, 1, 2, 3, 7, 8))
+    assert sq.coefficients[4] == Fraction(1, 4)
+    assert sq.coefficients[5] == 1
+    assert sq.coefficients[6] == 1
+    assert all(sq.coefficients[k] == 0 for k in (0, 1, 2, 3, 7, 8))
 
 
 def test_ring_axioms_on_random_exact_series():
@@ -123,10 +123,10 @@ def test_lie_exp_matches_flow_composition():
     phi2 = ps_mul(phi, phi)
     oracle = add(ps_mul(phi2, S({0: Fraction(1, 2)}, D)), ps_mul(phi2, phi))
     assert lie.coefficients == oracle.coefficients
-    assert lie.real_coefficient(4) == Fraction(-3, 2)
-    assert lie.real_coefficient(5) == 4
-    assert lie.real_coefficient(6) == Fraction(-15, 2)
-    assert lie.real_coefficient(7) == 12
+    assert lie.coefficients[4] == Fraction(-3, 2)
+    assert lie.coefficients[5] == 4
+    assert lie.coefficients[6] == Fraction(-15, 2)
+    assert lie.coefficients[7] == 12
 
 
 def test_lie_exp_partial_terms_hand_check():
@@ -137,7 +137,7 @@ def test_lie_exp_partial_terms_hand_check():
     vf = v.apply(f)
     assert reals(vf) == ["0", "0", "0", "-1", "-3", "0", "0", "0"]
     vvf_half = ps_mul(v.apply(vf), S({0: Fraction(1, 2)}, D))
-    assert vvf_half.real_coefficient(4) == Fraction(3, 2)
+    assert vvf_half.coefficients[4] == Fraction(3, 2)
 
 
 def test_lie_exp_quartic_quintic_elimination():
@@ -154,10 +154,10 @@ def test_lie_exp_quartic_quintic_elimination():
         D,
     )
     out = lie_exp(S({3: Fraction(3, 2), 4: -5}, D), f)
-    assert out.real_coefficient(4) == 0
-    assert out.real_coefficient(5) == 0
-    assert out.real_coefficient(6) == Fraction(-223, 24)
-    assert out.real_coefficient(7) == Fraction(3359, 96)
+    assert out.coefficients[4] == 0
+    assert out.coefficients[5] == 0
+    assert out.coefficients[6] == Fraction(-223, 24)
+    assert out.coefficients[7] == Fraction(3359, 96)
 
 
 def test_lie_exp_fixes_constants():
