@@ -10,7 +10,8 @@ ceilings, and explicit sequences that end before the last index the engine
 reads are config errors, found before anything runs.  Exit status: 0 on
 verdict success, 2 on verdict failure (non-tame pair, divergence, missing
 bound index), 1 on config or I/O errors.  A JSON report is one line with
-sorted keys.
+sorted keys.  Each command imports the modules it runs when it is parsed, so
+a bruno or tame run loads bruno alone.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import bruno, engines, factors, series
-from .bruno import PreconditionError
+from . import bruno
+
+if TYPE_CHECKING:
+    from . import engines
 
 __all__ = ["main", "run", "run_batch", "validate", "emit_table"]
 
@@ -142,7 +145,7 @@ def _sequence(spec, horizon: int) -> bruno.BrunoSequence:
         return bruno.BrunoSequence.phase_power(
             _number(spec, "scale", 1.0), _number(spec, "exponent"), _sign(spec), horizon
         )
-    if sum(key in spec for key in ("terms", "log_terms", "phases")) > 1:
+    if sum(key in spec for key in ("terms", "log_terms", "phases")) != 1:
         raise ConfigError("an explicit sequence takes exactly one of 'terms', 'log_terms' or 'phases'")
     if "phases" in spec:
         return bruno.BrunoSequence.from_phases(_sign(spec), _numbers(spec, "phases"))
@@ -155,6 +158,8 @@ def _sequence(spec, horizon: int) -> bruno.BrunoSequence:
 
 def _factor(spec, horizon: int):
     """The factor a {"type": ..., <its keys>} spec describes; gains are materialized through horizon."""
+    from . import factors
+
     kind = spec.get("type") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in _FACTOR_KEYS:
         raise ConfigError(f"a factor is an object with 'type' one of {sorted(_FACTOR_KEYS)}")
@@ -256,6 +261,8 @@ def _parse_tame(cfg: dict) -> Command:
 
 
 def _parse_schedule(cfg: dict) -> Command:
+    from . import factors
+
     t = _number(cfg, "t", 1.0, lo=1e-300)
     steps = _number(cfg, "steps", 10, lo=1, hi=MAX_HORIZON, integer=True)
     shift = _number(cfg, "exponent_shift", 1, lo=0, hi=1, integer=True)
@@ -297,6 +304,8 @@ def _normal_form_exit(report: engines.IterationReport) -> int:
 
 
 def _parse_morse(cfg: dict) -> Command:
+    from . import engines, series
+
     steps = _number(cfg, "steps", 2, lo=0, hi=MAX_MORSE_STEPS, integer=True)
     truncation = _number(cfg, "truncation", max(2**steps + 2, 8), lo=2, hi=MAX_TRUNCATION, integer=True)
     if truncation < 2**steps + 2:
@@ -320,6 +329,8 @@ def _parse_morse(cfg: dict) -> Command:
 
 
 def _parse_circle(cfg: dict) -> Command:
+    from . import engines
+
     eps = _number(cfg, "eps", 0.1, lo=0.0)
     if eps >= 1.0:
         raise ConfigError("eps must be < 1")
@@ -340,6 +351,8 @@ def _parse_circle(cfg: dict) -> Command:
 
 
 def _parse_newton(cfg: dict) -> Command:
+    from . import engines, series
+
     steps = _number(cfg, "steps", 6, lo=1, hi=MAX_HORIZON, integer=True)
     truncation = _number(cfg, "truncation", 32, lo=2, hi=MAX_TRUNCATION, integer=True)
     defect = _number(cfg, "defect", 0, lo=0, hi=truncation, integer=True)
@@ -365,6 +378,8 @@ def _parse_newton(cfg: dict) -> Command:
 
 
 def _parse_drive(cfg: dict) -> Command:
+    from . import engines, factors
+
     steps = _number(cfg, "steps", 20, lo=1, hi=MAX_HORIZON, integer=True)
     t = _number(cfg, "t", 1.0, lo=1e-300)
     x0 = engines.ScalarElement(_number(cfg, "x0", 0.25, lo=0.0))
@@ -463,10 +478,14 @@ def emit_table(payload: dict, fmt: str, out_path: Path | None) -> str:
     """
     if fmt == "json":
         if "report" in payload:
+            from . import engines
+
             payload = {**payload, "report": engines.report_to_json(payload["report"])}
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     elif fmt == "csv":
         if "report" in payload:
+            from . import engines
+
             rows = engines.report_csv_rows(payload["report"])
         else:
             rows = [["key", "value"]] + [
@@ -494,7 +513,7 @@ def run(config, out_path: Path | None = None, fmt: str = "json", seed: int | Non
         return 1
     try:
         payload, code = command()
-    except (ConfigError, PreconditionError, factors.ScheduleError, ValueError, OverflowError) as exc:
+    except (ConfigError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     seed = config_seed if seed is None else seed
@@ -541,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 decode errors
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     # a config, or each entry of a batch, without a command runs the one named here

@@ -28,14 +28,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from .bruno import BrunoSequence, PreconditionError
-from .factors import (
-    KamFactor,
-    PerturbativeFactor,
-    RadiusSchedule,
-    kam_schedule_tame_check,
-    rho_for_perturbative,
-    schedule_build,
-)
 from .series import (
     SingularLinearizationError,
     TruncatedPowerSeries,
@@ -53,6 +45,7 @@ from .series import (
 )
 
 if TYPE_CHECKING:
+    from .factors import KamFactor, PerturbativeFactor, RadiusSchedule
     from .fourier import FourierOneForm
 
 __all__ = [
@@ -634,6 +627,9 @@ def contraction_run(
     b_n times the previous step norm, and the eventual smallness |step| < b_n
     over the upper half of the horizon.  Violations are recorded, not fatal.
     """
+    # factors loads here and in kam_run, so morse, circle and newton never load it
+    from .factors import rho_for_perturbative, schedule_build
+
     if b.sign != -1:
         raise PreconditionError("decay sequence must be negative-phase")
     rho = rho_for_perturbative(lam, b)
@@ -664,6 +660,8 @@ def kam_run(
     |x_(n+1) - x_n| against M_n prev^2 + N_n prev and the eventual bound
     against c_n = exp(-2^n / n^(c_phase_exponent)) over the upper half.
     """
+    from .factors import kam_schedule_tame_check
+
     check = kam_schedule_tame_check(K, eps, t, c_phase_exponent, steps, exponent_shift)
     if not check.tame:
         raise TamenessError("evaluated factor pair is not tame over the horizon")

@@ -115,6 +115,7 @@ def test_sequence_spec_kinds_and_rejection(monkeypatch):
         ({"kind": "explicit", "log_terms": [0.0, math.nan, 0.0]}, "log_terms must be finite"),
         ({"kind": "explicit", "log_terms": [1.0, -1.0, 0.0]}, "terms must all be >= 1 or all <= 1"),
         ({"kind": "explicit", "terms": "124"}, "terms must be a list of numbers"),
+        ({"kind": "explicit"}, "an explicit sequence takes exactly one of 'terms', 'log_terms' or 'phases'"),
     ):
         diags = cli.validate({"command": "bruno", "sequence": spec, "horizon": 2})
         assert len(diags) == 1 and diags[0].startswith(message), spec
@@ -306,35 +307,52 @@ def test_report_json_round_trips_through_cli(tmp_path, capsys):
 
 
 def test_only_the_circle_command_loads_numpy():
-    configs = [
-        {"command": "bruno", "kind": "constant", "value": 0.5, "horizon": 8},
-        {"command": "tame", "a": {"kind": "geometric", "ratio": 2.0}, "b": {"kind": "geometric", "ratio": 0.25}},
-        {"command": "schedule", "rho": {"kind": "constant", "value": 0.25}},
-        {"command": "morse"},
-        {"command": "newton", "truncation": 16, "steps": 4},
-        {"command": "newton", "mode": "float", "truncation": 16, "steps": 4},
-        {"command": "drive", "kind": "contraction"},
-        {"command": "drive", "kind": "kam"},
+    # each command loads only the modules it runs; a process runs its configs
+    # in order and records the scale_iter modules loaded after each, so that
+    # set only grows, and numpy loads with fourier alone
+    drive = ["bruno", "engines", "factors", "series"]
+    newton = ["bruno", "engines", "series"]
+    processes = [
+        [
+            ({"command": "bruno", "kind": "constant", "value": 0.5, "horizon": 8}, ["bruno"]),
+            ({"command": "tame", "a": {"kind": "geometric", "ratio": 2.0}, "b": {"kind": "geometric", "ratio": 0.25}},
+             ["bruno"]),
+            ({"command": "schedule", "rho": {"kind": "constant", "value": 0.25}, "factor": {"type": "local"}},
+             ["bruno", "factors"]),
+            ({"command": "drive", "kind": "contraction"}, drive),
+            ({"command": "drive", "kind": "kam"}, drive),
+            ({"command": "circle"}, ["bruno", "engines", "factors", "fourier", "series"]),
+        ],
+        [
+            ({"command": "morse"}, newton),
+            ({"command": "newton", "truncation": 16, "steps": 4}, newton),
+            ({"command": "newton", "mode": "float", "truncation": 16, "steps": 4}, newton),
+            ({"command": "circle"}, ["bruno", "engines", "fourier", "series"]),
+        ],
     ]
     script = (
         "import contextlib, io, json, sys\n"
         "from scale_iter import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.run(c) for c in json.loads(sys.argv[1])]\n"
-        "    before = 'numpy' in sys.modules\n"
-        "    circle = cli.run({'command': 'circle'})\n"
-        "print(json.dumps([codes, before, circle, 'numpy' in sys.modules]))\n"
+        "records = []\n"
+        "for config in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.run(config)\n"
+        "    loaded = sorted(m.removeprefix('scale_iter.') for m in sys.modules if m.startswith('scale_iter.'))\n"
+        "    loaded.remove('cli')\n"
+        "    records.append([code, loaded, 'numpy' in sys.modules])\n"
+        "print(json.dumps(records))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(configs)],
-        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, before, circle, after = json.loads(proc.stdout)
-    assert all(code in (0, 2) for code in codes), codes
-    assert not before
-    assert circle == 0 and after
+    for runs in processes:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([config for config, _ in runs])],
+            env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for (config, modules), (code, loaded, numpy) in zip(runs, json.loads(proc.stdout), strict=True):
+            assert code in (0, 2), config
+            assert loaded == modules, config
+            assert numpy == ("fourier" in modules), config
 
 
 def test_exit_code_partition_over_mutated_configs(tmp_path):
@@ -386,8 +404,12 @@ def test_main_command_mismatch(tmp_path, capsys):
 
 
 def test_main_missing_config(tmp_path, capsys):
-    assert cli.main(["bruno", "--config", str(tmp_path / "absent.json")]) == 1
-    assert "config error" in capsys.readouterr().err
+    # absent, not UTF-8, and nested past the JSON decoder's recursion limit
+    (tmp_path / "not_utf8.json").write_bytes(b'\xff\xfe{"horizon": 8}')
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for name in ("absent.json", "not_utf8.json", "deep.json"):
+        assert cli.main(["bruno", "--config", str(tmp_path / name)]) == 1, name
+        assert "config error" in capsys.readouterr().err
 
 
 def test_runs_are_byte_deterministic(tmp_path):
