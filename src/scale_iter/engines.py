@@ -274,7 +274,7 @@ def circle_run(
     """
     # the Fourier layer, and with it numpy, loads here so the other commands never pay for it
     from .fourier import (
-        FourierOneForm, _difference, _sum, cos_coefficient, lie_exp_terms, solve_homological, strip_l2_norm,
+        FourierOneForm, _difference, _homological, _lie_terms, _perturbation, _strip_norm, _sum, cos_coefficient,
     )
 
     if not 0.0 <= eps < 1.0:
@@ -283,25 +283,25 @@ def circle_run(
         raise PreconditionError(f"cap {cap} too small; need at least 2^(steps+1)")
 
     alpha = FourierOneForm.from_cos({0: 1.0, 1: eps}, cap)
+    w = alpha.lo, alpha.band  # the form as a band pair; the kernels run on pairs
     forms = [alpha]
     records: list[StepRecord] = []
     prev_norm: float | None = None
     for n in range(steps):
         cutoff = 2**n
-        target = alpha.perturbation(cutoff)
+        target = _perturbation(w, cutoff)
         mean_drift = abs(alpha.coefficient(0) - 1.0)
-        if target.band.size:
-            v = solve_homological(target, cutoff)
-            terms = lie_exp_terms(v, alpha, lie_order)
-            alpha_next = _sum(terms)
-            last_term_norm = strip_l2_norm(terms[-1], strip_width)
+        if target[1].size:
+            terms = _lie_terms(_homological(target, cutoff), w, lie_order, cap)
+            w_next = _sum(terms)
+            last_term_norm = _strip_norm(terms[-1], strip_width)
+            alpha_next = FourierOneForm(cap, w_next[1], w_next[0])
         else:
-            alpha_next = alpha
+            w_next, alpha_next = w, alpha
             last_term_norm = 0.0
 
-        new_pert = alpha_next.perturbation(cap)
-        step_norm = strip_l2_norm(_difference(alpha_next, alpha), strip_width)
-        residual = strip_l2_norm(new_pert, strip_width)
+        step_norm = _strip_norm(_difference(w_next, w), strip_width)
+        residual = _strip_norm(_perturbation(w_next, cap), strip_width)
         extras = {
             "mean_drift": mean_drift,
             "last_term_norm": last_term_norm,
@@ -320,7 +320,7 @@ def circle_run(
             )
         )
         prev_norm = residual
-        alpha = alpha_next
+        w, alpha = w_next, alpha_next
         forms.append(alpha)
 
     verdict = _verdict_from_steps([r.step_norm for r in records])

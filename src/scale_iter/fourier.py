@@ -7,13 +7,20 @@ a one-form along a field is (a f)' dtheta, products are convolutions
 truncated back to the cap, and the homological equation f' = -beta is
 solved harmonic by harmonic with the mean as the obstruction.
 
-The cap is a bookkeeping bound that only clips products: every kernel reads
-and returns bands, so cost follows the occupied band, whatever the cap.
+Every operation is a private kernel on band pairs (lo, band), the lowest
+harmonic and the trimmed band; the classes and public functions wrap those
+kernels, and circle_run runs on them directly.  Trimming tests the two end
+coefficients before it scans for zeros.  The cap is a bookkeeping bound that
+only clips products, so cost follows the occupied band, whatever the cap.
+The homological division runs on real arrays in CPython's quotient order for
+the divisor 1j*k, so it gives the bits of -c / (1j * k).
 
 The strip L2 norm weights harmonic k by sinh(2|k|t)/|k| (2t at k = 0);
 sinh switches to a log-domain evaluation once 2|k|t is large, so tail
-estimates stay finite for any cap.  The weights are read from a table over
-|k| that is cached for each width.
+estimates stay finite for any cap.  The weights are sliced from a table over
+|k| that is cached for each width.  The norm takes one pass over the whole
+band: a zero coefficient keeps a log of -inf, which adds an exact 0.0 to the
+sum, and gets no weight, which could be +inf.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ __all__ = [
     "lie_derivative_oneform",
     "solve_homological",
     "lie_exp_terms",
-    "oneform_lie_exp",
     "strip_l2_norm",
     "strip_l2_log_norm",
     "tail_decay_check",
@@ -60,6 +66,154 @@ def _log_sinh(x):
     return np.where(big, tail, np.log(np.sinh(np.minimum(x, 30.0))))[()]
 
 
+# ---------------------------------------------------------------------------
+# Band kernels: (lo, band) holds harmonics lo .. lo + len(band) - 1
+# ---------------------------------------------------------------------------
+
+
+def _trim(lo: int, band: np.ndarray) -> tuple[int, np.ndarray]:
+    """The pair cut to its nonzero ends; (0, empty) for zero data."""
+    if band.size and band[0] != 0 and band[-1] != 0:
+        return lo, band
+    nz = band.nonzero()[0]
+    if nz.size:
+        return lo + int(nz[0]), band[nz[0] : nz[-1] + 1]
+    return 0, band[:0]
+
+
+def _perturbation(w, cutoff: int) -> tuple[int, np.ndarray]:
+    """The harmonics 1 <= |k| <= cutoff of w, trimmed."""
+    lo, band = w
+    first = max(lo, -cutoff)
+    end = max(min(lo + band.size, cutoff + 1), first)
+    part = band[first - lo : end - lo]
+    if first <= 0 < end:
+        part = part.copy()
+        part[-first] = 0.0
+    return _trim(first, part)
+
+
+def _zeros_over(bands) -> tuple[int, np.ndarray]:
+    """A zero array over the union of the ranges, which the empty pair (0, []) may widen: (lo, array)."""
+    lo = min(first for first, _ in bands)
+    return lo, np.zeros(max(first + band.size for first, band in bands) - lo, dtype=complex)
+
+
+def _sum(bands) -> tuple[int, np.ndarray]:
+    # accumulating from +0.0 gives the bits of the zero-padded sum 0 + b0 + b1 + ...
+    lo, total = _zeros_over(bands)
+    for first, band in bands:
+        total[first - lo : first - lo + band.size] += band
+    return _trim(lo, total)
+
+
+def _difference(a, b) -> tuple[int, np.ndarray]:
+    # copying a, then subtracting b in place, gives the bits of the zero-padded a - b
+    lo, diff = _zeros_over((a, b))
+    diff[a[0] - lo : a[0] - lo + a[1].size] = a[1]
+    diff[b[0] - lo : b[0] - lo + b[1].size] -= b[1]
+    return _trim(lo, diff)
+
+
+def _convolve_truncate(a, b, cap: int) -> tuple[int, np.ndarray]:
+    """Product of two bands, clipped to |k| <= cap: (lowest harmonic, band)."""
+    (a_lo, a_band), (b_lo, b_band) = a, b
+    if not (a_band.size and b_band.size):
+        return 0, np.zeros(0, dtype=complex)
+    band = np.convolve(a_band, b_band)
+    lo = a_lo + b_lo
+    first, last = max(lo, -cap), min(lo + band.size, cap + 1)
+    return first, band[first - lo : max(last, first) - lo]
+
+
+@lru_cache(maxsize=8)
+def _ik(cap: int) -> np.ndarray:
+    """Read-only table of 1j * k for |k| <= cap, at index k + cap."""
+    table = 1j * np.arange(-cap, cap + 1)
+    table.setflags(write=False)
+    return table
+
+
+def _lie_derivative(v, w, cap: int) -> tuple[int, np.ndarray]:
+    lo, product = _convolve_truncate(w, v, cap)
+    return _trim(lo, product * _ik(cap)[lo + cap : lo + cap + product.size])
+
+
+def _lie_terms(v, w, order: int, cap: int) -> list[tuple[int, np.ndarray]]:
+    terms = [w]
+    for j in range(1, order + 1):
+        lo, band = _lie_derivative(v, terms[-1], cap)
+        terms.append(_trim(lo, band / j))
+    return terms
+
+
+def _homological(beta, cutoff: int) -> tuple[int, np.ndarray]:
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    lo, band = beta
+    mean = complex(band[-lo]) if lo <= 0 < lo + band.size else 0j
+    if mean:
+        scale = float(np.max(np.abs(band), initial=0.0)) or 1.0
+        if abs(mean) > MEAN_TOL * scale:
+            raise MeanObstructionError(f"mean coefficient {mean!r} cannot be eliminated")
+    if mean or lo < -cutoff or lo + band.size > cutoff + 1:
+        lo, band = _perturbation(beta, cutoff)
+    # CPython divides a = -c by 1j*k = (+-0.0, k) with ratio 0.0 and denominator k
+    k = np.arange(lo, lo + band.size, dtype=float)
+    zero = -lo if lo <= 0 < lo + band.size else None
+    if zero is not None:
+        k[zero] = 1.0  # f_0 is set to 0 below; dividing by 1 there raises no 0/0
+    a = -band
+    f = np.empty(band.size, dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf * 0.0 is nan, as in CPython
+        np.divide(a.real * 0.0 + a.imag, k, out=f.real)
+        np.divide(a.imag * 0.0 - a.real, k, out=f.imag)
+    if zero is not None:
+        f[zero] = 0.0
+    return _trim(lo, f)
+
+
+def _strip_log_norm(w, t: float) -> float:
+    if t <= 0.0:
+        raise ValueError("strip half-width must be positive")
+    lo, band = w
+    if not band.size:
+        return -math.inf
+    hi = lo + band.size - 1
+    table = _log_weights(t, 1 << max(-lo, hi).bit_length())
+    if lo >= 0:
+        weights = table[lo : hi + 1]
+    else:
+        weights = table[-lo : max(-hi, 1) - 1 : -1]
+        if hi >= 0:
+            weights = np.concatenate((weights, table[: hi + 1]))
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(band))
+    logs *= 2.0
+    if table[-1] < math.inf:
+        logs += weights
+    else:  # -inf + inf is nan: a weight past the float range must not reach a zero coefficient
+        np.add(logs, weights, out=logs, where=logs != -math.inf)
+    logs.sort()
+    top = float(logs[-1])
+    if top == math.inf:
+        return math.inf
+    # largest first keeps fsum's partials few; fsum's correctly rounded sum does not depend on the order
+    return 0.5 * (top + math.log(math.fsum(memoryview(np.exp(logs[::-1] - top)))))
+
+
+def _strip_norm(w, t: float) -> float:
+    log_n = _strip_log_norm(w, t)
+    if log_n == -math.inf:
+        return 0.0
+    return math.exp(log_n) if log_n < 709.0 else math.inf
+
+
+# ---------------------------------------------------------------------------
+# Forms, fields and the public operations on them
+# ---------------------------------------------------------------------------
+
+
 class _TrigData:
     """Harmonics lo .. lo + len(band) - 1 of data capped at |k| <= cap; zero elsewhere.
 
@@ -76,13 +230,10 @@ class _TrigData:
             if data.shape != (2 * cap + 1,):
                 raise ValueError(f"need {2 * cap + 1} coefficients for cap {cap}")
             lo = -cap
-        nz = data.nonzero()[0]
-        if nz.size:
-            lo, data = lo + int(nz[0]), data[nz[0] : nz[-1] + 1]
-        else:
-            lo, data = 0, data[:0]
-        data.setflags(write=False)
-        self.cap, self.lo, self.band = cap, lo, data
+        lo, band = _trim(lo, data)
+        band = band.view()  # read-only without freezing the caller's array
+        band.setflags(write=False)
+        self.cap, self.lo, self.band = cap, lo, band
 
     @property
     def data(self) -> np.ndarray:
@@ -98,11 +249,7 @@ class _TrigData:
 
     def perturbation(self, cutoff: int):
         """The harmonics 1 <= |k| <= cutoff of this data."""
-        lo = max(self.lo, -cutoff)
-        hi = max(min(self.lo + self.band.size, cutoff + 1), lo)
-        band = self.band[lo - self.lo : hi - self.lo].copy()
-        if lo <= 0 < hi:
-            band[-lo] = 0.0
+        lo, band = _perturbation((self.lo, self.band), cutoff)
         return type(self)(self.cap, band, lo)
 
     @classmethod
@@ -133,39 +280,6 @@ class CircleVectorField(_TrigData):
     """f(theta) d/dtheta with the same harmonic representation."""
 
 
-def _aligned(forms):
-    """The bands zero-padded over the union of the occupied ranges: (lo, arrays)."""
-    live = [f for f in forms if f.band.size] or forms[:1]
-    lo = min(f.lo for f in live)
-    size = max(f.lo + f.band.size for f in live) - lo
-    arrays = []
-    for f in forms:
-        arr = np.zeros(size, dtype=complex)
-        arr[f.lo - lo : f.lo - lo + f.band.size] = f.band
-        arrays.append(arr)
-    return lo, arrays
-
-
-def _sum(forms) -> FourierOneForm:
-    lo, arrays = _aligned(forms)
-    return FourierOneForm(forms[0].cap, sum(arrays), lo)
-
-
-def _difference(a, b) -> FourierOneForm:
-    lo, (x, y) = _aligned([a, b])
-    return FourierOneForm(a.cap, x - y, lo)
-
-
-def _convolve_truncate(a: _TrigData, b: _TrigData) -> tuple[int, np.ndarray]:
-    """Product of two bands, clipped to |k| <= cap: (lowest harmonic, band)."""
-    if not (a.band.size and b.band.size):
-        return 0, np.zeros(0, dtype=complex)
-    band = np.convolve(a.band, b.band)
-    lo = a.lo + b.lo
-    first, last = max(lo, -a.cap), min(lo + band.size, a.cap + 1)
-    return first, band[first - lo : max(last, first) - lo]
-
-
 def cos_coefficient(w: _TrigData, k: int) -> float:
     """Coefficient of cos(k theta) in real data: 2 Re c_k for k >= 1, c_0 at k = 0."""
     if k == 0:
@@ -181,8 +295,8 @@ def lie_derivative_oneform(v: CircleVectorField, w: FourierOneForm) -> FourierOn
     """
     if v.cap != w.cap:
         raise ValueError("harmonic caps must match")
-    lo, product = _convolve_truncate(w, v)
-    return FourierOneForm(w.cap, product * (1j * np.arange(lo, lo + product.size)), lo)
+    lo, band = _lie_derivative((v.lo, v.band), (w.lo, w.band), w.cap)
+    return FourierOneForm(w.cap, band, lo)
 
 
 def solve_homological(beta: FourierOneForm, cutoff: int) -> CircleVectorField:
@@ -192,50 +306,18 @@ def solve_homological(beta: FourierOneForm, cutoff: int) -> CircleVectorField:
     the largest coefficient is a genuine obstruction: the constant harmonic
     has no primitive on the circle.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    scale = float(np.max(np.abs(beta.band), initial=0.0)) or 1.0
-    if abs(beta.coefficient(0)) > MEAN_TOL * scale:
-        raise MeanObstructionError(
-            f"mean coefficient {beta.coefficient(0)!r} cannot be eliminated"
-        )
-    target = beta.perturbation(cutoff)
-    arr = np.zeros(target.band.size, dtype=complex)
-    for i, c in enumerate(target.band.tolist()):
-        k = target.lo + i
-        if k:
-            arr[i] = -c / (1j * k)
-    return CircleVectorField(beta.cap, arr, target.lo)
+    lo, band = _homological((beta.lo, beta.band), cutoff)
+    return CircleVectorField(beta.cap, band, lo)
 
 
 def lie_exp_terms(v: CircleVectorField, w: FourierOneForm, order: int) -> list[FourierOneForm]:
     """Terms L_v^j(w)/j! for j = 0..order, truncated at the cap each step."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    terms = [w]
-    current = w
-    for j in range(1, order + 1):
-        current = lie_derivative_oneform(v, current)
-        current = FourierOneForm(current.cap, current.band / j, current.lo)
-        terms.append(current)
-    return terms
-
-
-def oneform_lie_exp(
-    v: CircleVectorField, w: FourierOneForm, order: int | None = None
-) -> FourierOneForm:
-    """Partial sum of e^(L_v) w through the given order.
-
-    The default order equals the harmonic cap, enough for coefficient
-    agreement to the bookkeeping degree; the remainder of the operator
-    series is controlled by the last term, which callers can inspect via
-    lie_exp_terms.
-    """
-    if order is None:
-        order = w.cap
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return _sum(lie_exp_terms(v, w, order))
+    if order and v.cap != w.cap:
+        raise ValueError("harmonic caps must match")
+    terms = _lie_terms((v.lo, v.band), (w.lo, w.band), order, w.cap)
+    return [w] + [FourierOneForm(w.cap, band, lo) for lo, band in terms[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +343,11 @@ def _log_weights(t: float, size: int) -> np.ndarray:
 
 def strip_l2_log_norm(w: FourierOneForm, t: float) -> float:
     """log of the strip L2 norm; -inf for zero data, +inf once a weight leaves the float range."""
-    if t <= 0.0:
-        raise ValueError("strip half-width must be positive")
-    idx = w.band.nonzero()[0]
-    if idx.size == 0:
-        return -math.inf
-    k = np.abs(idx + w.lo)
-    logs = 2.0 * np.log(np.abs(w.band[idx])) + _log_weights(t, 1 << int(k.max()).bit_length())[k]
-    # largest first keeps fsum's partials few; fsum's correctly rounded sum does not depend on the order
-    logs = np.sort(logs)[::-1]
-    hi = float(logs[0])
-    if hi == math.inf:
-        return math.inf
-    return 0.5 * (hi + math.log(math.fsum(np.exp(logs - hi).tolist())))
+    return _strip_log_norm((w.lo, w.band), t)
 
 
 def strip_l2_norm(w: FourierOneForm, t: float) -> float:
-    log_n = strip_l2_log_norm(w, t)
-    if log_n == -math.inf:
-        return 0.0
-    return math.exp(log_n) if log_n < 709.0 else math.inf
+    return _strip_norm((w.lo, w.band), t)
 
 
 @dataclass(frozen=True)

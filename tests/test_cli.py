@@ -346,7 +346,7 @@ def test_only_the_circle_command_loads_numpy():
     for runs in processes:
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps([config for config, _ in runs])],
-            env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         for (config, modules), (code, loaded, numpy) in zip(runs, json.loads(proc.stdout), strict=True):

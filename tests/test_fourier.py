@@ -14,7 +14,6 @@ from scale_iter.fourier import (
     cos_coefficient,
     lie_derivative_oneform,
     lie_exp_terms,
-    oneform_lie_exp,
     solve_homological,
     strip_l2_norm,
     tail_decay_check,
@@ -91,6 +90,11 @@ def test_homological_right_inverse_random():
         assert np.max(np.abs(residue)) < 1e-13
 
 
+def _sum(forms):
+    """The forms added coefficient by coefficient: a Lie exponential from its terms."""
+    return FourierOneForm(forms[0].cap, sum(f.data for f in forms))
+
+
 def _alpha_and_field(eps, cap=CAP):
     w = FourierOneForm.from_cos({0: 1.0, 1: eps}, cap)
     v = solve_homological(FourierOneForm.from_cos({1: eps}, cap), 1)
@@ -102,7 +106,7 @@ def test_lie_exp_order_two_coefficients_are_exact(eps):
     # at order 2 the three displayed harmonics of the transported form are
     # polynomial identities: -eps^2/2, -eps^3/4, +3 eps^3/4
     w, v = _alpha_and_field(eps)
-    a1 = oneform_lie_exp(v, w, 2)
+    a1 = _sum(lie_exp_terms(v, w, 2))
     assert cos_coefficient(a1, 2) == pytest.approx(-eps ** 2 / 2.0, rel=1e-12)
     assert cos_coefficient(a1, 1) == pytest.approx(-eps ** 3 / 4.0, rel=1e-12)
     assert cos_coefficient(a1, 3) == pytest.approx(3.0 * eps ** 3 / 4.0, rel=1e-12)
@@ -114,7 +118,7 @@ def test_lie_exp_higher_order_correction(eps):
     # the full exponential shifts cos 2theta by +eps^4/4 (hand-derived from
     # the third and fourth operator terms); residual is O(eps^6)
     w, v = _alpha_and_field(eps)
-    a6 = oneform_lie_exp(v, w, 6)
+    a6 = _sum(lie_exp_terms(v, w, 6))
     assert cos_coefficient(a6, 2) - (-eps ** 2 / 2.0 + eps ** 4 / 4.0) == pytest.approx(
         0.0, abs=2.0 * eps ** 6
     )
@@ -122,13 +126,13 @@ def test_lie_exp_higher_order_correction(eps):
 
 def test_lie_exp_identity_for_zero_field():
     w = FourierOneForm.from_cos({0: 1.0, 1: 0.3}, CAP)
-    out = oneform_lie_exp(CircleVectorField.from_coefficients({}, CAP), w, 5)
+    out = _sum(lie_exp_terms(CircleVectorField.from_coefficients({}, CAP), w, 5))
     assert np.allclose(out.data, w.data)
 
 
 def test_lie_exp_preserves_reality():
     w, v = _alpha_and_field(0.2)
-    out = oneform_lie_exp(v, w, 6)
+    out = _sum(lie_exp_terms(v, w, 6))
     # conjugate symmetry c_(-k) = conj(c_k) up to roundoff
     scale = np.abs(out.data).max()
     assert np.allclose(out.data[::-1].conj(), out.data, rtol=0.0, atol=1e-12 * scale)
@@ -276,8 +280,3 @@ def test_sinh_ratio_strictly_decreasing_through_64():
     s, t = 0.35, 0.8
     ratios = [_log_sinh(2 * k * s) - _log_sinh(2 * k * t) for k in range(1, 65)]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
-
-
-def test_lie_exp_default_order_is_cap():
-    w, v = _alpha_and_field(0.1)
-    assert np.allclose(oneform_lie_exp(v, w).data, oneform_lie_exp(v, w, CAP).data)

@@ -15,9 +15,12 @@ on complex coefficients.  The Fourier product convolves only the occupied
 bands and the strip norm is one array expression; both change rounding, so
 they are compared with the dense convolution and the per-harmonic loop
 within tolerances fixed beforehand, and circle_run is compared with a dense
-copy of itself.  The strip norm's cached weight table and largest-first
-fsum change no rounding, so the norm is compared bit for bit with its
-band-order array form.
+copy of itself.  The strip norm's cached weight table, one pass over the
+whole band and largest-first fsum change no rounding, so the norm is
+compared bit for bit with its band-order array form.  circle_run's band
+kernels keep every operation's order, so it is compared bit for bit with
+its object form, and the homological division with CPython's complex
+quotient.
 """
 
 import math
@@ -723,7 +726,8 @@ def _convolution_cases(rng):
 def test_band_convolution_matches_dense():
     rng = np.random.default_rng(11)
     for cap, a, b in _convolution_cases(rng):
-        lo, band = _convolve_truncate(FourierOneForm(cap, a), CircleVectorField(cap, b))
+        w, f = FourierOneForm(cap, a), CircleVectorField(cap, b)
+        lo, band = _convolve_truncate((w.lo, w.band), (f.lo, f.band), cap)
         assert band.size == 0 or (-cap <= lo and lo + band.size <= cap + 1)
         got = np.zeros(2 * cap + 1, dtype=complex)
         got[lo + cap : lo + cap + band.size] = band
@@ -781,6 +785,17 @@ def _strip_norm_cases(rng):
                 band[rng.random(size) >= density] = 0.0
                 band[[0, -1]] = 10.0 ** rng.uniform(lo_exp, hi_exp, 2)  # keep the drawn ends occupied
                 yield FourierOneForm.from_coefficients(dict(zip(range(lo, hi + 1), band.tolist())), cap)
+        # a circle perturbation: a band across 0 with an exact zero at k = 0, next to nonzero neighbours
+        k = np.arange(-cap, cap + 1)
+        band = 0.3 ** np.abs(k) * np.exp(1j * k)
+        band[cap] = 0.0
+        yield FourierOneForm(cap, band)
+        # nan and inf coefficients, alone and together, in bands with zeros
+        for specials in ((math.nan,), (math.inf,), (complex(-math.inf, 1.0),), (math.nan, math.inf)):
+            band = 10.0 ** rng.uniform(-5, 5, 2 * cap + 1) * np.exp(2j * np.pi * rng.random(2 * cap + 1))
+            band[rng.random(2 * cap + 1) < 0.3] = 0.0
+            band[rng.integers(0, 2 * cap + 1, len(specials))] = specials
+            yield FourierOneForm(cap, band)
 
 
 def _strip_widths(w):
@@ -912,3 +927,158 @@ def test_circle_run_matches_dense_form_where_truncation_bites(cap, order, steps)
                 assert rec.extras.keys() == extras.keys()
                 for key, value in extras.items():
                     assert _close(rec.extras[key], value), (eps, n_steps, rec.n, key)
+
+
+# ---- circle_run against its object form --------------------------------------
+
+
+def _object_perturbation(w, cutoff):
+    lo = max(w.lo, -cutoff)
+    hi = max(min(w.lo + w.band.size, cutoff + 1), lo)
+    band = w.band[lo - w.lo : hi - w.lo].copy()
+    if lo <= 0 < hi:
+        band[-lo] = 0.0
+    return type(w)(w.cap, band, lo)
+
+
+def _object_aligned(forms):
+    """The bands zero-padded over the union of the occupied ranges: (lo, arrays)."""
+    live = [f for f in forms if f.band.size] or forms[:1]
+    lo = min(f.lo for f in live)
+    size = max(f.lo + f.band.size for f in live) - lo
+    arrays = []
+    for f in forms:
+        arr = np.zeros(size, dtype=complex)
+        arr[f.lo - lo : f.lo - lo + f.band.size] = f.band
+        arrays.append(arr)
+    return lo, arrays
+
+
+def _object_solve(target):
+    arr = np.zeros(target.band.size, dtype=complex)
+    for i, c in enumerate(target.band.tolist()):
+        k = target.lo + i
+        if k:
+            arr[i] = -c / (1j * k)
+    return CircleVectorField(target.cap, arr, target.lo)
+
+
+def _object_lie_terms(v, w, order):
+    cap = w.cap
+    terms = [w]
+    for j in range(1, order + 1):
+        current = terms[-1]
+        if current.band.size and v.band.size:
+            product = np.convolve(current.band, v.band)
+            lo = current.lo + v.lo
+            first, last = max(lo, -cap), min(lo + product.size, cap + 1)
+            lo, product = first, product[first - lo : max(last, first) - lo]
+        else:
+            lo, product = 0, np.zeros(0, dtype=complex)
+        current = FourierOneForm(cap, product * (1j * np.arange(lo, lo + product.size)), lo)
+        terms.append(FourierOneForm(cap, current.band / j, current.lo))
+    return terms
+
+
+def _object_norm(w, t):
+    log_n = band_order_strip_l2_log_norm(w, t)
+    if log_n == -math.inf:
+        return 0.0
+    return math.exp(log_n) if log_n < 709.0 else math.inf
+
+
+def object_circle_run(eps, steps, cap, lie_order, strip_width=0.5):
+    """circle_run as it was on objects: a form per operation, zero-padded sums, a per-harmonic division loop."""
+    alpha = FourierOneForm.from_cos({0: 1.0, 1: eps}, cap)
+    forms = [alpha]
+    records = []
+    prev_norm = None
+    for n in range(steps):
+        cutoff = 2**n
+        target = _object_perturbation(alpha, cutoff)
+        mean_drift = abs(alpha.coefficient(0) - 1.0)
+        if target.band.size:
+            terms = _object_lie_terms(_object_solve(target), alpha, lie_order)
+            lo, arrays = _object_aligned(terms)
+            alpha_next = FourierOneForm(cap, sum(arrays), lo)
+            last_term_norm = _object_norm(terms[-1], strip_width)
+        else:
+            alpha_next = alpha
+            last_term_norm = 0.0
+        lo, (x, y) = _object_aligned([alpha_next, alpha])
+        step_norm = _object_norm(FourierOneForm(cap, x - y, lo), strip_width)
+        residual = _object_norm(_object_perturbation(alpha_next, cap), strip_width)
+        extras = {"mean_drift": mean_drift, "last_term_norm": last_term_norm}
+        for k in range(1, 5):
+            extras[f"cos_{k}"] = cos_coefficient(alpha_next, k)
+        records.append((step_norm, residual, prev_norm, prev_norm is None or residual <= prev_norm, extras))
+        prev_norm = residual
+        alpha = alpha_next
+        forms.append(alpha)
+    return _verdict_from_steps([r[0] for r in records]), records, forms
+
+
+def _circle_draws(rng, count):
+    """Seeded (eps, steps, cap, order, width): edge and random eps, orders 1-6, widths 1e-300 to 1e300."""
+    for _ in range(count):
+        steps = rng.randint(1, 6)
+        eps = rng.choice((0.0, 0.95, 0.999, rng.uniform(0.0, 0.999)))
+        order = rng.randint(1, 6)
+        width = rng.choice((1e-300, 1e-3, 0.5, 40.0, 1e300))
+        yield eps, steps, rng.choice((2 ** (steps + 1), 4096)), order, width
+
+
+def _hex(x):
+    return None if x is None else x.hex()
+
+
+def test_circle_run_equals_object_form_bit_for_bit():
+    # the band kernels keep every operation's order, so no report float and no form byte may move
+    for eps, steps, cap, order, width in _circle_draws(random.Random(29), 400):
+        verdict, records, forms = object_circle_run(eps, steps, cap, order, width)
+        result = circle_run(eps, steps, cap, order, width)
+        case = (eps, steps, cap, order, width)
+        assert result.report.verdict == verdict, case
+        for rec, (step_norm, residual, bound, bound_ok, extras) in zip(result.report.steps, records, strict=True):
+            got = (rec.step_norm.hex(), rec.residual.hex(), _hex(rec.bound), rec.bound_ok)
+            assert got == (step_norm.hex(), residual.hex(), _hex(bound), bound_ok), (case, rec.n)
+            assert {key: value.hex() for key, value in rec.extras.items()} == {
+                key: value.hex() for key, value in extras.items()
+            }, (case, rec.n)
+        assert [(f.lo, f.band.tobytes()) for f in result.forms] == [(f.lo, f.band.tobytes()) for f in forms], case
+
+
+# ---- the homological division against CPython's complex quotient -------------
+
+
+def _homological_cases(rng):
+    """Seeded bands with zeros, signed zeros, subnormals, huge values, inf and nan, on both sides of k = 0."""
+    parts = (0.0, -0.0, 5e-324, -2.5e-320, 1e308, -1e308, math.inf, -math.inf, math.nan)
+    cap = 40
+    for _ in range(300):
+        lo = rng.randint(-cap, cap)
+        hi = rng.randint(lo, cap)
+        band = []
+        for _ in range(hi - lo + 1):
+            re, im = (rng.choice(parts) if rng.random() < 0.4 else rng.gauss(0.0, 1.0) for _ in range(2))
+            band.append(complex(re, im))
+        if lo <= 0 <= hi:  # a signed zero mean, or one far below MEAN_TOL of a unit coefficient
+            band[-lo] = rng.choice((0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1e-300))
+            band[rng.choice([i for i in range(len(band)) if i != -lo] or [-lo])] += 1.0
+        yield FourierOneForm(cap, np.array(band, dtype=complex), lo), rng.randint(1, cap)
+
+
+def test_homological_division_equals_cpython_quotient():
+    checked = 0
+    for beta, cutoff in _homological_cases(random.Random(31)):
+        field = solve_homological(beta, cutoff)
+        for k in range(-beta.cap, beta.cap + 1):
+            c = beta.coefficient(k)
+            want = -c / (1j * k) if k and abs(k) <= cutoff else 0j
+            got = field.coefficient(k)
+            if field.lo <= k < field.lo + field.band.size:
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (k, c)
+                checked += k != 0
+            else:  # a trimmed end holds a zero of either sign
+                assert want == 0, (k, c)
+    assert checked > 2000
