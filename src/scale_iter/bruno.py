@@ -134,9 +134,6 @@ class BrunoSequence:
             raise HorizonError(f"index {n} beyond horizon {self.horizon}")
         return self.sign * math.ldexp(self.phases[n], n)
 
-    def is_bruno(self, horizon: int | None = None) -> bool:
-        return is_bruno(self, self.horizon if horizon is None else horizon)
-
     # ---- constructors -------------------------------------------------
 
     @classmethod
@@ -170,13 +167,6 @@ class BrunoSequence:
         if scale < 0.0:
             raise PreconditionError("phase scale must be >= 0")
         return cls(sign, tuple(scale / float(max(n, 1)) ** exponent for n in range(horizon + 1)))
-
-    @classmethod
-    def exp_power(cls, base: float, sign: int, horizon: int, scale: float = 1.0) -> "BrunoSequence":
-        """Terms exp(sign * scale * base^n), phase scale * (base/2)^n."""
-        if base <= 0.0 or scale < 0.0:
-            raise PreconditionError("base must be positive and scale >= 0")
-        return cls(sign, tuple(scale * (base / 2.0) ** n for n in range(horizon + 1)))
 
     @classmethod
     def from_terms(cls, values: Sequence[float]) -> "BrunoSequence":
@@ -377,6 +367,14 @@ def quadratic_orbit(a: BrunoSequence, u0: float, steps: int) -> OrbitTrace:
 # ---------------------------------------------------------------------------
 
 
+def _holds_from(flags: Sequence[bool]) -> int | None:
+    """The least N with every flag from N on true; None when the last flag is false or there are none."""
+    n = len(flags)
+    while n and flags[n - 1]:
+        n -= 1
+    return n if n < len(flags) else None
+
+
 @dataclass(frozen=True)
 class TameVerdict:
     tame: bool
@@ -415,12 +413,7 @@ def is_tame(a: BrunoSequence | LogSequence, b: BrunoSequence | LogSequence, hori
         rhs = b.log_term(n + 1)
         flags.append(lhs <= rhs + TAME_SLACK * (1.0 + abs(rhs)))
 
-    N: int | None = None
-    ok_from_here = True
-    for n in range(horizon - 1, -1, -1):
-        ok_from_here = ok_from_here and flags[n]
-        if ok_from_here:
-            N = n
+    N = _holds_from(flags)
     return TameVerdict(N is not None, N, tuple(flags), tuple(violations))
 
 

@@ -225,7 +225,7 @@ def _parse_bruno(cfg: dict) -> Command:
 
     def command() -> tuple[dict, int]:
         limit = bruno.a_pi(seq, tol)
-        summable = seq.is_bruno(horizon)
+        summable = bruno.is_bruno(seq, horizon)
         payload = {
             "a_pi": limit.limit,
             "log_a_pi": limit.log_limit,

@@ -669,8 +669,8 @@ def kam_run(
     def monitor(n: int, prev_step: float | None) -> tuple[float | None, float, dict]:
         m_n = math.exp(check.log_m[n]) if check.log_m[n] < 700 else math.inf
         nn = _exp(check.log_n[n]) if check.log_n[n] > -700 else 0.0
-        bound = None if prev_step is None else _term(m_n, _square(prev_step)) + _term(nn, prev_step)
-        log_c = -math.ldexp(1.0, n) / float(max(n, 1)) ** c_phase_exponent
+        bound = None if prev_step is None else _term(m_n, _power(prev_step, 2)) + _term(nn, prev_step)
+        log_c = -math.ldexp(1.0, n) / _power(float(max(n, 1)), c_phase_exponent)
         c_n = math.exp(log_c) if log_c > -700 else 0.0
         return bound, c_n, {"c_n": c_n}
 
@@ -692,10 +692,10 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _square(x: float) -> float:
-    """x**2, saturating to inf past the float range instead of raising."""
+def _power(x: float, y: float) -> float:
+    """x**y, saturating to inf past the float range instead of raising."""
     try:
-        return x**2
+        return x**y
     except OverflowError:
         return math.inf
 
@@ -714,7 +714,7 @@ def scalar_contraction_family(a: BrunoSequence) -> StepMap:
 
     def step(n: int, s: float, t: float, x: ScaledElement) -> ScalarElement:
         v = x.value  # type: ignore[attr-defined]
-        return ScalarElement(_term(_exp(a.log_term(n)), _square(v)))
+        return ScalarElement(_term(_exp(a.log_term(n)), _power(v, 2)))
 
     return step
 
@@ -731,6 +731,6 @@ def scalar_kam_family(K: KamFactor) -> StepMap:
         log_m, log_n = K.log_eval(n, s, t)
         v = x.value  # type: ignore[attr-defined]
         nn = _exp(log_n) if log_n > -700 else 0.0
-        return ScalarElement(0.5 * (_term(_exp(log_m), _square(v)) + _term(nn, v)))
+        return ScalarElement(0.5 * (_term(_exp(log_m), _power(v, 2)) + _term(nn, v)))
 
     return step

@@ -28,6 +28,7 @@ from .bruno import (
     HorizonError,
     LogSequence,
     PreconditionError,
+    _holds_from,
     a_pi,
     is_bruno,
     is_tame,
@@ -302,13 +303,7 @@ def perturbative_bound_check(
         log_lambda.append(lv)
         log_b.append(lb)
         flags.append(lv <= lb + 1e-12 * (1.0 + abs(lb)))
-    N: int | None = None
-    ok = True
-    for n in range(horizon, -1, -1):
-        ok = ok and flags[n]
-        if ok:
-            N = n
-    return PerturbativeBoundReport(N, tuple(flags), tuple(log_lambda), tuple(log_b))
+    return PerturbativeBoundReport(_holds_from(flags), tuple(flags), tuple(log_lambda), tuple(log_b))
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,19 @@
 
 One-forms a(theta) dtheta and vector fields f(theta) d/dtheta with harmonics
 |k| <= K are stored as the complex band of harmonics they occupy, trimmed to
-its nonzero ends.  The Lie derivative of
-a one-form along a field is (a f)' dtheta, products are convolutions
-truncated back to the cap, and the homological equation f' = -beta is
-solved harmonic by harmonic with the mean as the obstruction.
+its nonzero ends.  The Lie derivative of a one-form along a field is
+(a f)' dtheta, products are convolutions truncated back to the cap, and the
+homological equation f' = -beta is solved harmonic by harmonic with the mean
+as the obstruction.
 
 Every operation is a private kernel on band pairs (lo, band), the lowest
-harmonic and the trimmed band; the classes and public functions wrap those
-kernels, and circle_run runs on them directly.  Trimming tests the two end
-coefficients before it scans for zeros.  The cap is a bookkeeping bound that
-only clips products, so cost follows the occupied band, whatever the cap.
-The homological division runs on real arrays in CPython's quotient order for
-the divisor 1j*k, so it gives the bits of -c / (1j * k).
+harmonic and the trimmed band; circle_run runs on them directly, and
+solve_homological, lie_exp_terms and strip_l2_log_norm wrap them for forms
+and fields.  Trimming tests the two end coefficients before it scans for
+zeros.  The cap is a bookkeeping bound that only clips products, so cost
+follows the occupied band, whatever the cap.  The homological division
+runs on real arrays in CPython's quotient order for the divisor 1j*k, so it
+gives the bits of -c / (1j * k).
 
 The strip L2 norm weights harmonic k by sinh(2|k|t)/|k| (2t at k = 0);
 sinh switches to a log-domain evaluation once 2|k|t is large, so tail
@@ -36,10 +37,8 @@ __all__ = [
     "CircleVectorField",
     "MeanObstructionError",
     "SupportError",
-    "lie_derivative_oneform",
     "solve_homological",
     "lie_exp_terms",
-    "strip_l2_norm",
     "strip_l2_log_norm",
     "tail_decay_check",
     "cos_coefficient",
@@ -247,11 +246,6 @@ class _TrigData:
         i = k - self.lo
         return complex(self.band[i]) if 0 <= i < self.band.size else 0j
 
-    def perturbation(self, cutoff: int):
-        """The harmonics 1 <= |k| <= cutoff of this data."""
-        lo, band = _perturbation((self.lo, self.band), cutoff)
-        return type(self)(self.cap, band, lo)
-
     @classmethod
     def from_coefficients(cls, entries: dict[int, complex], cap: int):
         lo, hi = min(entries, default=0), max(entries, default=0)
@@ -285,18 +279,6 @@ def cos_coefficient(w: _TrigData, k: int) -> float:
     if k == 0:
         return float(w.coefficient(0).real)
     return 2.0 * float(w.coefficient(k).real)
-
-
-def lie_derivative_oneform(v: CircleVectorField, w: FourierOneForm) -> FourierOneForm:
-    """L_v (a dtheta) = (a f' + a' f) dtheta = (a f)' dtheta.
-
-    Evaluated as the derivative of the truncated product, which equals the
-    product-rule form exactly within the cap.
-    """
-    if v.cap != w.cap:
-        raise ValueError("harmonic caps must match")
-    lo, band = _lie_derivative((v.lo, v.band), (w.lo, w.band), w.cap)
-    return FourierOneForm(w.cap, band, lo)
 
 
 def solve_homological(beta: FourierOneForm, cutoff: int) -> CircleVectorField:
@@ -344,10 +326,6 @@ def _log_weights(t: float, size: int) -> np.ndarray:
 def strip_l2_log_norm(w: FourierOneForm, t: float) -> float:
     """log of the strip L2 norm; -inf for zero data, +inf once a weight leaves the float range."""
     return _strip_log_norm((w.lo, w.band), t)
-
-
-def strip_l2_norm(w: FourierOneForm, t: float) -> float:
-    return _strip_norm((w.lo, w.band), t)
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,16 @@
 
 Series live in the quotient ring C[z]/(z^(D+1)) for a fixed truncation D.
 Exact mode stores real coefficients as Fractions so golden computations are
-reproducible bit for bit.  Float mode stores real doubles.  The disk norm
-is the coefficient majorant sum |c_k| t^k, which dominates the true sup on
-the disk of radius t.  The Lie exponential _lie_exp of a derivation g d/dz
-with valuation(g) at least 2 terminates exactly at the truncation, which is
-what makes the Morse eliminations golden-testable.  Exact arithmetic runs on
+reproducible bit for bit; float mode stores real doubles.
+TruncatedPowerSeries is the boundary type that the CLI parses into and the
+engines return; the engines run on list kernels.  Exact arithmetic runs on
 one integer layer, numerator lists over one denominator: _cauchy, _combine,
-_lie_exp, and Newton's row division _divide with its _derivative.  ps_mul
-and the exact Morse and Newton loops in engines share it.  Float Newton runs
-_cauchy and _float_norm on lists of doubles.  TruncatedPowerSeries is the
-boundary type: the CLI parses into it and engines return results in it.
+the Lie exponential _lie_exp (it terminates at the truncation for g d/dz
+with valuation(g) >= 2, so Morse eliminations are golden-testable), and
+Newton's row division _divide with its _derivative.  Float Newton runs
+_cauchy and _float_norm on lists of doubles.  The disk norm, _numerator_norm
+or _float_norm, is the majorant sum |c_k| t^k, which dominates the sup on
+the disk of radius t.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "ModeMismatchError",
     "ps_mul",
     "ps_derive",
-    "ps_norm",
 ]
 
 
@@ -186,19 +185,7 @@ class TruncatedPowerSeries:
     @property
     def valuation(self) -> int:
         """Least degree with a nonzero coefficient; truncation + 1 for zero."""
-        for k, c in enumerate(self.coefficients):
-            if c:
-                return k
-        return self.truncation + 1
-
-    def to_float(self) -> "TruncatedPowerSeries":
-        if self.mode == "float":
-            return self
-        return TruncatedPowerSeries(
-            self.truncation,
-            "float",
-            tuple(float(c) for c in self.coefficients),
-        )
+        return _valuation(self.coefficients)
 
 
 def _check_compatible(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> None:
@@ -262,20 +249,6 @@ def _lie_exp(ng: list[int], dg: int, nf: list[int], df: int) -> tuple[list[int],
         j += 1
 
 
-def ps_norm(f: TruncatedPowerSeries, t: float) -> float:
-    """Coefficient majorant sum |c_k| t^k, an upper bound for the sup over the closed disk.
-
-    Zero coefficients form no t^k.  The sum moves to the log domain when a
-    nonzero coefficient or its power t^k leaves the float range, when a
-    coefficient underflows a float while its t^k overflows, and when t^k at
-    the top nonzero degree is subnormal or zero, where direct terms would
-    lose their digits or read 0 for a nonzero coefficient.
-    """
-    if f.mode == "exact":
-        return _numerator_norm(*_common_denominator(f.coefficients), t)
-    return _float_norm(f.coefficients, t)
-
-
 def _underflows(coeffs, t: float) -> bool:
     """Whether t^k at the top nonzero degree of coeffs is below the normal floats; refuses t <= 0."""
     if t <= 0.0:
@@ -285,7 +258,14 @@ def _underflows(coeffs, t: float) -> bool:
 
 
 def _float_norm(coeffs, t: float) -> float:
-    """ps_norm of the float coefficients coeffs[k] at degrees k."""
+    """Coefficient majorant sum |c_k| t^k of the doubles coeffs[k], an upper bound for the sup over the closed disk.
+
+    Zero coefficients form no t^k.  The sum moves to the log domain when a
+    nonzero coefficient or its power t^k leaves the float range, when a
+    coefficient underflows a float while its t^k overflows, and when t^k at
+    the top nonzero degree is subnormal or zero, where direct terms would
+    lose their digits or read 0 for a nonzero coefficient.
+    """
     if not _underflows(coeffs, t):
         try:
             return math.fsum(abs(c) * t**k for k, c in enumerate(coeffs) if c)
@@ -295,11 +275,13 @@ def _float_norm(coeffs, t: float) -> float:
 
 
 def _numerator_norm(nums: list[int], den: int, t: float) -> float:
-    """ps_norm of the exact series with coefficient nums[k] / den at degree k, bit for bit.
+    """Coefficient majorant sum |c_k| t^k of the exact coefficients nums[k] / den.
 
-    int / int true division is correctly rounded, as float() of the reduced
-    Fraction is; the log-domain sum reads the reduced Fractions, since
-    log|numerator| - log(denominator) holds for integers of any size.
+    The log-domain cases are _float_norm's.  The norm is the same over any
+    common denominator: int / int true division is correctly rounded, as
+    float() of the reduced Fraction is, and the log-domain sum reads the
+    reduced Fractions, since log|numerator| - log(denominator) holds for
+    integers of any size.
     """
     if not _underflows(nums, t):
         try:

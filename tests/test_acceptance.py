@@ -49,6 +49,7 @@ from scale_iter.fourier import (
     tail_decay_check,
 )
 from scale_iter.series import TruncatedPowerSeries
+from test_bruno import exp_power
 from test_fourier import _sum
 
 
@@ -174,12 +175,12 @@ def test_c06_absorb_inequality():
 
 @criterion("C07", "tame-pair suite and mixed-orbit flags from the bisected start")
 def test_c07_tame_pair_suite():
-    v1 = is_tame(BrunoSequence.constant(1.0, 31), BrunoSequence.exp_power(2.0, -1, 31), 30)
+    v1 = is_tame(BrunoSequence.constant(1.0, 31), exp_power(2.0, -1, 31), 30)
     assert v1.tame and v1.N == 0
     v2 = is_tame(BrunoSequence.geometric(2.0, 31), BrunoSequence.geometric(0.25, 31), 30)
     assert v2.tame and v2.N == 2
     v3 = is_tame(
-        BrunoSequence.exp_power(1.5, 1, 31), BrunoSequence.exp_power(1.9, -1, 31), 30
+        exp_power(1.5, 1, 31), exp_power(1.9, -1, 31), 30
     )
     assert v3.tame and v3.N == 10
 

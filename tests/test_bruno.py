@@ -10,6 +10,7 @@ from scale_iter.bruno import (
     HorizonError,
     LogSequence,
     PreconditionError,
+    _holds_from,
     a_pi,
     absorb_check,
     delta_search,
@@ -21,6 +22,11 @@ from scale_iter.bruno import (
 )
 
 H = 48
+
+
+def exp_power(base, sign, horizon):
+    """Terms exp(sign * base^n), which are the phases (base / 2)^n."""
+    return BrunoSequence.from_phases(sign, [(base / 2.0) ** n for n in range(horizon + 1)])
 
 
 def test_transform_identity_case():
@@ -126,11 +132,17 @@ def test_absorb_requires_small_terms():
 
 def test_is_tame_boundary_pair():
     a = BrunoSequence.constant(1.0, 31)
-    b = BrunoSequence.exp_power(2.0, -1, 31)
+    b = exp_power(2.0, -1, 31)
     verdict = is_tame(a, b, 30)
     assert verdict.tame and verdict.N == 0 and not verdict.violations
     # equality throughout: every flag true
     assert all(verdict.flags)
+
+
+def test_holds_from_is_the_start_of_the_true_tail():
+    # is_tame and perturbative_bound_check read their N from this one scan
+    cases = ([], [False], [True], [True, False, True, True], [True, True, False])
+    assert [_holds_from(flags) for flags in cases] == [None, None, 0, 2, None]
 
 
 def test_is_tame_geometric_pair():
@@ -140,7 +152,7 @@ def test_is_tame_geometric_pair():
 
 def test_is_tame_exp_power_pair():
     verdict = is_tame(
-        BrunoSequence.exp_power(1.5, 1, 31), BrunoSequence.exp_power(1.9, -1, 31), 30
+        exp_power(1.5, 1, 31), exp_power(1.9, -1, 31), 30
     )
     assert verdict.tame and verdict.N == 10
 
@@ -184,7 +196,7 @@ def test_mixed_orbit_zero_start():
 def test_mixed_orbit_boundary_pair_flag_fails_early():
     # the first-step bound needs b_1 >= b_0 / 2, which exp(-2^n) decay violates
     a = BrunoSequence.constant(1.0, 31)
-    b = BrunoSequence.exp_power(2.0, -1, 31)
+    b = exp_power(2.0, -1, 31)
     tr = mixed_orbit(a, b, 0.01, 5)
     assert tr.values[1] == pytest.approx(0.0018893972058572131, rel=1e-12)
     assert tr.values[1] > math.exp(-2.0) * 0.01

@@ -26,8 +26,8 @@ from scale_iter.engines import (
     scalar_contraction_family,
     scalar_kam_family,
 )
-from scale_iter.series import TruncatedPowerSeries, ps_mul, ps_norm
-from test_series import difference, lie_series_loop
+from scale_iter.series import TruncatedPowerSeries, ps_mul
+from test_series import difference, lie_series_loop, norm, to_float
 
 
 def S(entries, D, mode="exact"):
@@ -79,7 +79,7 @@ def test_morse_generator_is_the_negated_block_over_x():
 
 def test_morse_steps_match_the_float_lie_series():
     # exact against float: each step's generator, applied in float by the
-    # term-by-term Lie loop to to_float() of the step's input, gives the exact
+    # term-by-term Lie loop to to_float of the step's input, gives the exact
     # output to within 1e-12 of the largest coefficient of either
     for f0, steps in (
         (seed_function(34), 5),
@@ -87,8 +87,8 @@ def test_morse_steps_match_the_float_lie_series():
     ):
         res = morse_run(f0, steps)
         for g, f, f_next in zip(res.generators, res.functions, res.functions[1:]):
-            approx = lie_series_loop(g.to_float(), f.to_float()).coefficients
-            exact = f_next.to_float().coefficients
+            approx = lie_series_loop(to_float(g), to_float(f)).coefficients
+            exact = to_float(f_next).coefficients
             scale = max(map(abs, approx + exact))
             assert max(abs(a - b) for a, b in zip(approx, exact)) <= 1e-12 * scale
 
@@ -120,12 +120,12 @@ def test_morse_remainder_scale_decay():
         remainder = difference(f, S({2: Fraction(1, 2)}, f.truncation))
         # the report's norms, taken on integers, equal those of the returned Fraction series
         record, diff = res.report.steps[n], difference(f, res.functions[n])
-        assert (record.residual, record.step_norm) == (ps_norm(remainder, 0.4), ps_norm(diff, 0.4))
-        assert record.bound == 0.8 ** (2**n + 2) * ps_norm(diff, 0.5)
+        assert (record.residual, record.step_norm) == (norm(remainder, 0.4), norm(diff, 0.4))
+        assert record.bound == 0.8 ** (2**n + 2) * norm(diff, 0.5)
         p = 2 ** (n + 1) + 2
         for s, t in ((0.3, 0.5), (0.2, 0.4)):
-            lhs = ps_norm(remainder, s)
-            rhs = (s / t) ** p * ps_norm(remainder, t)
+            lhs = norm(remainder, s)
+            rhs = (s / t) ** p * norm(remainder, t)
             assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -304,7 +304,7 @@ def test_newton_zero_target_float_and_exact_agree():
     assert exact.report.verdict == "converged"
     assert repr(flt.report) == repr(exact.report)
     assert flt.residual_valuations == exact.residual_valuations
-    assert flt.solution == exact.solution.to_float()
+    assert flt.solution == to_float(exact.solution)
     assert exact.solution.coefficients[0] == Fraction(1, 2**80)
 
 
@@ -350,11 +350,11 @@ def test_newton_takes_each_residual_norm_once_along_the_chain(monkeypatch):
 
     calls = []
     for state in (engines._FloatNewton, engines._ExactNewton):
-        norm = state.norm
+        original = state.norm
 
-        def counted(f, t, norm=norm):
+        def counted(f, t, original=original):
             calls.append(t)
-            return norm(f, t)
+            return original(f, t)
 
         monkeypatch.setattr(state, "norm", staticmethod(counted))
 
@@ -373,15 +373,15 @@ def test_newton_takes_each_residual_norm_once_along_the_chain(monkeypatch):
             before = records[-2].residual if len(records) > 1 else meta["initial_residual_norm"]
             assert same(records[-1].residual, before) and same(records[-1].bound, before), case
             assert same(meta["final_residual_norm"], before) and meta["failed_step"] == records[-1].n, case
-            assert same(before, ps_norm(model_residual(res.solution, ys), radius)), case
+            assert same(before, norm(model_residual(res.solution, ys), radius)), case
             continue
         assert len(calls) == 3 * len(records) + 2, case
-        assert same(meta["initial_residual_norm"], ps_norm(model_residual(xs, ys), radius)), case
+        assert same(meta["initial_residual_norm"], norm(model_residual(xs, ys), radius)), case
         bounds = [r.bound for r in records]
         residuals = [meta["initial_residual_norm"]] + [r.residual for r in records]
         assert all(same(b, r) for b, r in zip(bounds, residuals)), case
         assert same(meta["final_residual_norm"], residuals[-1]), case
-        assert same(meta["final_residual_norm"], ps_norm(model_residual(res.solution, ys), radius)), case
+        assert same(meta["final_residual_norm"], norm(model_residual(res.solution, ys), radius)), case
     assert verdicts >= {"converged", "singular"}
 
 
@@ -482,12 +482,12 @@ def test_contraction_wraps_step_failures():
 
 @dataclass(frozen=True)
 class SeriesElement:
-    """A float series as a scaled element: its norm at a radius is ps_norm there."""
+    """A float series as a scaled element: its norm at a radius is the disk norm there."""
 
     series: TruncatedPowerSeries
 
     def norm_at(self, radius: float) -> float:
-        return ps_norm(self.series, radius)
+        return norm(self.series, radius)
 
     def sub(self, other: "SeriesElement") -> "SeriesElement":
         return SeriesElement(difference(self.series, other.series))
@@ -499,25 +499,25 @@ def test_contraction_morse_steps_satisfy_scale_decay():
     D = 40
     res_m = morse_run(seed_function(D), 4)
     diffs = [
-        difference(res_m.functions[n + 1], res_m.functions[n]).to_float() for n in range(4)
+        to_float(difference(res_m.functions[n + 1], res_m.functions[n])) for n in range(4)
     ]
 
     def steps(n, s, t, x):
-        return SeriesElement(res_m.functions[n + 1].to_float())
+        return SeriesElement(to_float(res_m.functions[n + 1]))
 
     res = contraction_run(
         steps,
         flat_factor(),
         BrunoSequence.constant(0.5, 48),
         0.5,
-        SeriesElement(res_m.functions[0].to_float()),
+        SeriesElement(to_float(res_m.functions[0])),
         4,
     )
     sched = res.schedule
     for n in range(4):
         s_in, s_out = sched.radius(n + 1), sched.radius(n)
-        lhs = ps_norm(diffs[n], s_in)
-        rhs = (s_in / s_out) ** (2 ** n + 2) * ps_norm(diffs[n], s_out)
+        lhs = norm(diffs[n], s_in)
+        rhs = (s_in / s_out) ** (2 ** n + 2) * norm(diffs[n], s_out)
         assert lhs <= rhs * (1 + 1e-12)
 
 

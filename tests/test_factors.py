@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from scale_iter.bruno import BrunoSequence, LogSequence, PreconditionError, is_tame
+from scale_iter.bruno import BrunoSequence, LogSequence, PreconditionError, is_bruno, is_tame
 from scale_iter.factors import (
     KamFactor,
     LocalFactor,
@@ -141,7 +141,7 @@ def test_rho_for_perturbative_phases_add():
     f = PerturbativeFactor(gain, 0.0, 1.0)
     rho = rho_for_perturbative(f, b)
     assert rho.sign == -1
-    assert rho.is_bruno(40)
+    assert is_bruno(rho, 40)
     n = 20
     expected = (2 * n + 1) * math.log(2.0) / 2.0 ** n + 1.0 / n ** 3 + 1.0 / n ** 2
     assert rho.phase(n) == pytest.approx(expected, rel=1e-12)

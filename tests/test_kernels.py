@@ -7,7 +7,7 @@ linearization, which exact Newton forms as (X^2/2)' and (X Xi)' on integer
 numerators, with their two-product Fraction forms.  Exact Newton keeps its
 whole state on integers, so newton_invert, at zero and positive defect, is
 compared report float for report float with a Fraction Newton loop built
-from those two-product forms and ps_norm; its integer prologue and its row division are
+from those two-product forms and the disk norm; its integer prologue and its row division are
 compared with their Fraction forms too.  Float Newton runs on lists of
 doubles and its kernels keep their summation order, so they are compared bit
 for bit with the loops they replaced, and float Newton with a copy of itself
@@ -65,9 +65,8 @@ from scale_iter.series import (
     _integral_numerators,
     _numerator_norm,
     ps_mul,
-    ps_norm,
 )
-from test_series import difference
+from test_series import difference, norm, to_float
 
 
 def _random_exact(rng, D, density=0.8):
@@ -281,7 +280,7 @@ def test_numerator_norm_matches_fraction_norm():
         den = rng.getrandbits(rng.randint(1, bits)) + 1
         for t in (1e-3, 0.37, 0.5, 2.0):
             f = TruncatedPowerSeries(D, "exact", tuple(Fraction(n, den) for n in nums))
-            assert _numerator_norm(nums, den, t) == ps_norm(f, t), (nums, den, t)
+            assert _numerator_norm(nums, den, t) == norm(f, t), (nums, den, t)
     with pytest.raises(ValueError):
         _numerator_norm([1], 1, 0.0)
 
@@ -339,7 +338,7 @@ def test_newton_exact_and_float_agree():
     assert exact.report.verdict == flt.report.verdict == "converged"
     # float valuations stop at the roundoff floor; the exact ladder doubles
     assert exact.residual_valuations == (2, 3, 5, 9, 17, 33)
-    for a, b in zip(exact.solution.to_float().coefficients, flt.solution.coefficients):
+    for a, b in zip(to_float(exact.solution).coefficients, flt.solution.coefficients):
         assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
 
 
@@ -351,7 +350,7 @@ def fraction_newton(y, x0, steps, defect, radius):
 
     Each step solves with weighted_exact_solve, takes the defect as residual
     minus two_product_linearization(x, xi), and re-evaluates the residual as
-    two_product_map(x - xi) - y; every norm is ps_norm at the one radius.  A
+    two_product_map(x - xi) - y; every norm is the disk norm at the one radius.  A
     singular step records the residual it could not reduce as its bound and
     ends the loop, and its report holds the meta of every other verdict.
     """
@@ -364,16 +363,16 @@ def fraction_newton(y, x0, steps, defect, radius):
         if not any(residual.coefficients):
             break
         if x.coefficients[0] == 0:
-            r_norm = ps_norm(residual, radius)
+            r_norm = norm(residual, radius)
             records.append(StepRecord(n, radius, math.inf, r_norm, r_norm, False, {}))
             failed = {"failed_step": n}
             break
         xi = exact(weighted_exact_solve(x, residual, defect))
-        defect_norm = ps_norm(difference(residual, exact(two_product_linearization(x, xi))), radius)
-        r_norm = ps_norm(residual, radius)
+        defect_norm = norm(difference(residual, exact(two_product_linearization(x, xi))), radius)
+        r_norm = norm(residual, radius)
         x = difference(x, xi)
         residual = difference(exact(two_product_map(x)), y)
-        next_norm = ps_norm(residual, radius)
+        next_norm = norm(residual, radius)
         valuations.append(residual.valuation)
         extras = {
             "residual_valuation": residual.valuation,
@@ -381,8 +380,8 @@ def fraction_newton(y, x0, steps, defect, radius):
             "defect_ratio": _defect_ratio(defect_norm, r_norm),
         }
         ok = next_norm <= r_norm * (1.0 + 1e-9) if r_norm > 0.0 else True
-        records.append(StepRecord(n, radius, ps_norm(xi, radius), next_norm, r_norm, ok, extras))
-    final = ps_norm(residual, radius)
+        records.append(StepRecord(n, radius, norm(xi, radius), next_norm, r_norm, ok, extras))
+    final = norm(residual, radius)
     zero_or_small = not any(residual.coefficients) or final < CAUCHY_TOL
     if failed:
         verdict = "singular"
@@ -392,8 +391,8 @@ def fraction_newton(y, x0, steps, defect, radius):
         "norm_radius": radius,
         "defect": defect,
         "final_residual_norm": final,
-        "initial_residual_norm": ps_norm(difference(image0, y), radius),
-        "initial_drift_norm": ps_norm(difference(image0, x0), radius),
+        "initial_residual_norm": norm(difference(image0, y), radius),
+        "initial_drift_norm": norm(difference(image0, x0), radius),
         "defect_ratio_max": max((r.extras["defect_ratio"] for r in records if r.extras), default=0.0),
         **failed,
     }
@@ -454,8 +453,8 @@ def test_defect_is_its_own_product_not_the_solve(monkeypatch):
     xi = exact(solves[0])
     residual = difference(exact(two_product_map(x0)), y)
     linear = exact(two_product_linearization(x0, xi))
-    assert first.extras["defect_norm"] == ps_norm(difference(residual, linear), radius) > 0.0
-    assert first.residual == ps_norm(difference(exact(two_product_map(difference(x0, xi))), y), radius)
+    assert first.extras["defect_norm"] == norm(difference(residual, linear), radius) > 0.0
+    assert first.residual == norm(difference(exact(two_product_map(difference(x0, xi))), y), radius)
 
 
 def fraction_division(nq, dq, nx, dx, rows):
@@ -522,8 +521,8 @@ def test_integer_prologue_matches_fraction_forms():
             assert as_fractions(state) == want.coefficients, (y, x0)
         for radius in (0.2, 0.5, 1.7):
             meta = newton_invert(y, x0, 1, radius, defect).report.meta
-            assert meta["initial_residual_norm"] == ps_norm(difference(image0, y), radius)
-            assert meta["initial_drift_norm"] == ps_norm(difference(image0, x0), radius)
+            assert meta["initial_residual_norm"] == norm(difference(image0, y), radius)
+            assert meta["initial_drift_norm"] == norm(difference(image0, x0), radius)
 
 
 # ---- float Newton on real doubles against its complex form --------------------
@@ -647,8 +646,7 @@ def test_float_from_dict_rejects_complex_values():
             TruncatedPowerSeries.from_dict({1: value}, 4, "float")
     f = TruncatedPowerSeries.from_dict({1: 3, 2: Fraction(1, 2), 3: 0.25}, 4, "float")
     assert f.coefficients == (0.0, 3.0, 0.5, 0.25, 0.0)
-    assert all(type(c) is float for c in f.coefficients + f.to_float().coefficients)
-    assert all(type(c) is float for c in TruncatedPowerSeries.from_dict({1: 1}, 4).to_float().coefficients)
+    assert all(type(c) is float for c in f.coefficients)
 
 
 # ---- Fourier kernels: plain references ---------------------------------------
